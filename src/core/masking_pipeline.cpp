@@ -7,6 +7,36 @@
 #include "util/rng.hpp"
 
 namespace emask::core {
+namespace {
+
+/// Steps `pipeline` to halt (stop_after_cycles == 0) or until that many
+/// cycles have run, appending one pJ sample per clock to `run.trace`; a
+/// completed DES run also gets its cipher.
+void drive(sim::Pipeline& pipeline, const assembler::Program& program,
+           energy::ProcessorEnergyModel& model,
+           std::uint64_t stop_after_cycles, EncryptionRun& run) {
+  if (stop_after_cycles == 0) {
+    run.sim = pipeline.run([&](const energy::CycleActivity& activity) {
+      run.trace.push(model.cycle(activity) * 1e12);  // J -> pJ
+    });
+    // The DES convention: a 64-bit-per-word "cipher" symbol.  Other
+    // workloads (AES, SHA-1) expose their outputs through their own
+    // read_* helpers.
+    const assembler::DataSymbol* cipher = program.find_symbol("cipher");
+    if (cipher != nullptr && cipher->size_bytes >= 64 * 4) {
+      run.cipher = des::read_cipher(pipeline.memory(), program);
+    }
+  } else {
+    energy::CycleActivity activity;
+    while (pipeline.cycles() < stop_after_cycles && pipeline.step(activity)) {
+      run.trace.push(model.cycle(activity) * 1e12);
+    }
+    run.sim = pipeline.result();
+  }
+  run.breakdown = model.breakdown();
+}
+
+}  // namespace
 
 MaskingPipeline MaskingPipeline::des(const hiding::Countermeasure& policy,
                                      const energy::TechParams& params,
@@ -70,31 +100,12 @@ energy::HidingConfig MaskingPipeline::hiding_config(
   return cfg;
 }
 
-EncryptionRun MaskingPipeline::simulate(const assembler::Program& program,
-                                        std::uint64_t stop_after_cycles,
-                                        std::uint64_t run_seed) const {
-  EncryptionRun run;
+EncryptionRun MaskingPipeline::simulate(
+    const assembler::Program& program, std::uint64_t stop_after_cycles) const {
   sim::Pipeline pipeline(program, sim_config_);
-  energy::ProcessorEnergyModel model(params_, hiding_config(run_seed));
-  if (stop_after_cycles == 0) {
-    run.sim = pipeline.run([&](const energy::CycleActivity& activity) {
-      run.trace.push(model.cycle(activity) * 1e12);  // J -> pJ
-    });
-    // The DES convention: a 64-bit-per-word "cipher" symbol.  Other
-    // workloads (AES, SHA-1) expose their outputs through their own
-    // read_* helpers.
-    const assembler::DataSymbol* cipher = program.find_symbol("cipher");
-    if (cipher != nullptr && cipher->size_bytes >= 64 * 4) {
-      run.cipher = des::read_cipher(pipeline.memory(), program);
-    }
-  } else {
-    energy::CycleActivity activity;
-    while (pipeline.cycles() < stop_after_cycles && pipeline.step(activity)) {
-      run.trace.push(model.cycle(activity) * 1e12);
-    }
-    run.sim = pipeline.result();
-  }
-  run.breakdown = model.breakdown();
+  energy::ProcessorEnergyModel model(params_, hiding_config(0));
+  EncryptionRun run;
+  drive(pipeline, program, model, stop_after_cycles, run);
   return run;
 }
 
@@ -102,15 +113,22 @@ EncryptionRun MaskingPipeline::cold_des(const std::uint64_t* iv,
                                         std::uint64_t key,
                                         std::uint64_t plaintext,
                                         std::uint64_t stop_after_cycles) const {
-  assembler::Program program = masked_.program;  // copy, then poke inputs
-  des::poke_key(program, key);
-  des::poke_plaintext(program, plaintext);
-  if (iv != nullptr) des::poke_iv(program, *iv);
+  // Inputs go straight into the fresh machine's memory, as a fork pokes
+  // them, so no per-run copy of the program is made.
+  const assembler::Program& program = masked_.program;
+  sim::Pipeline pipeline(program, sim_config_);
+  des::poke_key(pipeline.memory(), program, key);
+  des::poke_plaintext(pipeline.memory(), program, plaintext);
+  if (iv != nullptr) des::poke_iv(pipeline.memory(), program, *iv);
   const std::uint64_t run_seed = run_hiding_seed(plaintext);
   if (policy_.hiding == hiding::HidingPolicy::kShuffleNop) {
-    des::poke_nop_schedule(program, shuffle_schedule(run_seed));
+    des::poke_nop_schedule(pipeline.memory(), program,
+                           shuffle_schedule(run_seed));
   }
-  return simulate(program, stop_after_cycles, run_seed);
+  energy::ProcessorEnergyModel model(params_, hiding_config(run_seed));
+  EncryptionRun run;
+  drive(pipeline, program, model, stop_after_cycles, run);
+  return run;
 }
 
 EncryptionRun MaskingPipeline::run_des(std::uint64_t key,
@@ -198,7 +216,6 @@ EncryptionRun MaskingPipeline::forked_des(
     throw std::invalid_argument(
         "run_des_from: snapshot was captured from a different program");
   }
-  EncryptionRun run;
   sim::Pipeline pipeline(snapshot.program, snapshot.machine);
   des::poke_plaintext(pipeline.memory(), snapshot.program, plaintext);
   if (iv != nullptr) des::poke_iv(pipeline.memory(), snapshot.program, *iv);
@@ -209,24 +226,9 @@ EncryptionRun MaskingPipeline::forked_des(
                            shuffle_schedule(run_hiding_seed(plaintext)));
   }
   energy::ProcessorEnergyModel model = snapshot.model;  // resume mid-trace
+  EncryptionRun run;
   run.trace = snapshot.prefix;  // splice the shared prefix in front
-  if (stop_after_cycles == 0) {
-    run.sim = pipeline.run([&](const energy::CycleActivity& activity) {
-      run.trace.push(model.cycle(activity) * 1e12);  // J -> pJ
-    });
-    const assembler::DataSymbol* cipher =
-        snapshot.program.find_symbol("cipher");
-    if (cipher != nullptr && cipher->size_bytes >= 64 * 4) {
-      run.cipher = des::read_cipher(pipeline.memory(), snapshot.program);
-    }
-  } else {
-    energy::CycleActivity activity;
-    while (pipeline.cycles() < stop_after_cycles && pipeline.step(activity)) {
-      run.trace.push(model.cycle(activity) * 1e12);
-    }
-    run.sim = pipeline.result();
-  }
-  run.breakdown = model.breakdown();
+  drive(pipeline, snapshot.program, model, stop_after_cycles, run);
   return run;
 }
 

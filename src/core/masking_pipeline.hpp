@@ -185,8 +185,7 @@ class MaskingPipeline {
       std::uint64_t run_seed) const;
 
   [[nodiscard]] EncryptionRun simulate(const assembler::Program& program,
-                                       std::uint64_t stop_after_cycles = 0,
-                                       std::uint64_t run_seed = 0) const;
+                                       std::uint64_t stop_after_cycles = 0) const;
 
   [[nodiscard]] EncryptionRun cold_des(const std::uint64_t* iv,
                                        std::uint64_t key,

@@ -593,8 +593,34 @@ std::string generate_des_asm(std::uint64_t key, std::uint64_t plaintext,
   return os.str();
 }
 
+namespace {
+
+/// poke_block into live simulator memory; `missing` is the error when the
+/// program lacks the 64-word symbol.
+void poke_block(sim::DataMemory& memory, const assembler::Program& program,
+                const char* symbol, std::uint64_t block, const char* missing) {
+  const assembler::DataSymbol* s = program.find_symbol(symbol);
+  if (s == nullptr || s->size_bytes < 64 * 4) {
+    throw std::invalid_argument(missing);
+  }
+  for (unsigned i = 0; i < 64; ++i) {
+    memory.store_word(s->address + i * 4,
+                      static_cast<std::uint32_t>(util::bit_of64(block, 63 - i)));
+  }
+}
+
+constexpr const char* kNoIv =
+    "poke_iv: program has no iv symbol (generate with cbc_chain)";
+
+}  // namespace
+
 void poke_key(assembler::Program& program, std::uint64_t key) {
   poke_block(program, "key", key);
+}
+
+void poke_key(sim::DataMemory& memory, const assembler::Program& program,
+              std::uint64_t key) {
+  poke_block(memory, program, "key", key, "poke_key: no key symbol");
 }
 
 void poke_plaintext(assembler::Program& program, std::uint64_t plaintext) {
@@ -603,37 +629,18 @@ void poke_plaintext(assembler::Program& program, std::uint64_t plaintext) {
 
 void poke_plaintext(sim::DataMemory& memory, const assembler::Program& program,
                     std::uint64_t plaintext) {
-  const assembler::DataSymbol* s = program.find_symbol("plain");
-  if (s == nullptr || s->size_bytes < 64 * 4) {
-    throw std::invalid_argument("poke_plaintext: no plain symbol");
-  }
-  for (unsigned i = 0; i < 64; ++i) {
-    memory.store_word(s->address + i * 4,
-                      static_cast<std::uint32_t>(
-                          util::bit_of64(plaintext, 63 - i)));
-  }
+  poke_block(memory, program, "plain", plaintext,
+             "poke_plaintext: no plain symbol");
 }
 
 void poke_iv(assembler::Program& program, std::uint64_t iv) {
-  const assembler::DataSymbol* s = program.find_symbol("iv");
-  if (s == nullptr || s->size_bytes < 64 * 4) {
-    throw std::invalid_argument(
-        "poke_iv: program has no iv symbol (generate with cbc_chain)");
-  }
+  if (!has_iv_symbol(program)) throw std::invalid_argument(kNoIv);
   poke_block(program, "iv", iv);
 }
 
 void poke_iv(sim::DataMemory& memory, const assembler::Program& program,
              std::uint64_t iv) {
-  const assembler::DataSymbol* s = program.find_symbol("iv");
-  if (s == nullptr || s->size_bytes < 64 * 4) {
-    throw std::invalid_argument(
-        "poke_iv: program has no iv symbol (generate with cbc_chain)");
-  }
-  for (unsigned i = 0; i < 64; ++i) {
-    memory.store_word(s->address + i * 4,
-                      static_cast<std::uint32_t>(util::bit_of64(iv, 63 - i)));
-  }
+  poke_block(memory, program, "iv", iv, kNoIv);
 }
 
 bool has_iv_symbol(const assembler::Program& program) {

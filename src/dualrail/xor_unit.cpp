@@ -1,48 +1,36 @@
 #include "dualrail/xor_unit.hpp"
 
-#include "util/bitops.hpp"
+#include <bit>
 
 namespace emask::dualrail {
 
 DualRailXor32::DualRailXor32(double node_cap_farads, double vdd) {
-  true_rail_.reserve(32);
-  complement_rail_.reserve(32);
-  for (int i = 0; i < 32; ++i) {
-    true_rail_.emplace_back(node_cap_farads, vdd);
-    complement_rail_.emplace_back(node_cap_farads, vdd);
+  // The same C * Vdd^2 product DynamicNode meters per recharge.
+  const double recharge = node_cap_farads * vdd * vdd;
+  for (std::size_t k = 1; k < precharge_sums_.size(); ++k) {
+    precharge_sums_[k] = precharge_sums_[k - 1] + recharge;
   }
 }
 
 CycleEnergy DualRailXor32::cycle(std::uint32_t a, std::uint32_t b,
                                  bool secure) {
   CycleEnergy e;
-  // Phase 1 (v = 0): pre-charge.  The complementary rail is pre-charged too;
-  // if it was never discharged (gated cycles) this costs nothing.
-  for (int i = 0; i < 32; ++i) {
-    e.precharge += true_rail_[static_cast<std::size_t>(i)].precharge();
-    e.precharge += complement_rail_[static_cast<std::size_t>(i)].precharge();
-  }
+  // Phase 1 (v = 0): pre-charge.  Every node the last evaluation discharged
+  // is recharged; the complementary rail too, which costs nothing after
+  // gated cycles because it never discharged.
+  e.precharge = precharge_sums_[static_cast<std::size_t>(
+      std::popcount(true_discharged_) + std::popcount(complement_discharged_))];
   // Phase 2 (v = 1): evaluate.  The true rail discharges where a^b == 1.
   // The complementary rail's clock is "secure & v": it only evaluates for
   // secure instructions, where it discharges where a^b == 0.
   const std::uint32_t x = a ^ b;
-  discharged_ = 0;
-  for (unsigned i = 0; i < 32; ++i) {
-    const bool bit = util::bit_of(x, i) != 0;
-    true_rail_[i].evaluate(bit);
-    if (bit) ++discharged_;
-    if (secure) {
-      complement_rail_[i].evaluate(!bit);
-      if (!bit) ++discharged_;
-    }
-  }
+  true_discharged_ = x;
+  complement_discharged_ = secure ? ~x : 0u;
+  discharged_ =
+      std::popcount(true_discharged_) + std::popcount(complement_discharged_);
   // Dynamic-logic convention: output reads 1 where the node discharged, via
   // the output inverter; the charged node reads 0.
-  std::uint32_t out = 0;
-  for (unsigned i = 0; i < 32; ++i) {
-    if (!true_rail_[i].output()) out |= (1u << i);
-  }
-  result_ = out;
+  result_ = true_discharged_;
   return e;
 }
 

@@ -8,12 +8,16 @@
 // is clear, the complementary rail's evaluation clock is gated off
 // ("secure & v" in the paper's figure), halving the energy but making it
 // data-dependent again.
+//
+// Every node is a DynamicNode of the same capacitance, so the circuit's
+// state is just which nodes the last evaluation discharged (one mask per
+// rail), and a cycle's pre-charge energy depends only on how many of them
+// there are.  The unit keeps the two masks and a table of those energies
+// instead of 64 node objects.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
-
-#include "dualrail/dynamic_gate.hpp"
 
 namespace emask::dualrail {
 
@@ -41,8 +45,13 @@ class DualRailXor32 {
   [[nodiscard]] int discharged_nodes() const { return discharged_; }
 
  private:
-  std::vector<DynamicNode> true_rail_;        // 32 nodes: a ^ b
-  std::vector<DynamicNode> complement_rail_;  // 32 nodes: ~(a ^ b)
+  /// precharge_sums_[k]: the supply energy of recharging k nodes, summed one
+  /// node at a time as the circuit's node-by-node pre-charge accumulates it
+  /// (nodes that stayed charged add an exact 0.0), so each entry is
+  /// bit-identical to metering the individual DynamicNodes.
+  std::array<double, 65> precharge_sums_{};
+  std::uint32_t true_discharged_ = 0;        // true-rail nodes (a ^ b)
+  std::uint32_t complement_discharged_ = 0;  // complement nodes, ~(a ^ b)
   std::uint32_t result_ = 0;
   int discharged_ = 0;
 };

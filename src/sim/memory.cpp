@@ -1,5 +1,6 @@
 #include "sim/memory.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -22,13 +23,20 @@ DataMemory::DataMemory(const assembler::Program& program,
     throw std::invalid_argument("DataMemory: image larger than memory");
   }
   const std::size_t num_pages = (size_bytes + kPageBytes - 1) / kPageBytes;
-  pages_.reserve(num_pages);
-  for (std::size_t i = 0; i < num_pages; ++i) {
-    pages_.push_back(std::make_shared<Page>());  // value-initialized: zeros
+  pages_.assign(num_pages, zero_page());
+  // Only the pages the data image covers get storage of their own.
+  for (std::size_t i = 0; i < program.data.size(); i += kPageBytes) {
+    const std::size_t n = std::min(kPageBytes, program.data.size() - i);
+    std::copy_n(program.data.begin() + static_cast<std::ptrdiff_t>(i), n,
+                writable_page(i / kPageBytes).begin());
   }
-  for (std::size_t i = 0; i < program.data.size(); ++i) {
-    (*pages_[i / kPageBytes])[i % kPageBytes] = program.data[i];
-  }
+}
+
+const std::shared_ptr<DataMemory::Page>& DataMemory::zero_page() {
+  // Never written: the static reference keeps use_count() above one, so
+  // writable_page() clones it on a memory's first store to that page.
+  static const std::shared_ptr<Page> page = std::make_shared<Page>();
+  return page;
 }
 
 void DataMemory::check(std::uint32_t address) const {

@@ -19,10 +19,12 @@ namespace emask::sim {
 /// pages, and a store to a shared page clones just that page.  Forking N
 /// simulators from one sim::Snapshot therefore costs O(pages actually
 /// written) per fork, not O(memory size) — the 1 MiB default image is 256
-/// pages, of which a DES encryption dirties only a handful.  Page reference
-/// counts are atomic (std::shared_ptr), so concurrent forks from a shared
-/// read-only snapshot are safe; the bytes of a shared page are never
-/// mutated in place.
+/// pages, of which a DES encryption dirties only a handful.  A fresh
+/// memory allocates only the pages its data image covers; every other page
+/// points at one immutable, process-wide zero page until first written.
+/// Page reference counts are atomic (std::shared_ptr), so concurrent forks
+/// from a shared read-only snapshot are safe; the bytes of a shared page
+/// are never mutated in place.
 class DataMemory {
  public:
   explicit DataMemory(const assembler::Program& program,
@@ -48,6 +50,7 @@ class DataMemory {
   static_assert(kPageBytes % 4 == 0, "aligned words must not span pages");
   using Page = std::array<std::uint8_t, kPageBytes>;
 
+  [[nodiscard]] static const std::shared_ptr<Page>& zero_page();
   void check(std::uint32_t address) const;
   [[nodiscard]] Page& writable_page(std::size_t page_index);
 

@@ -7,8 +7,6 @@
 namespace emask::sim {
 namespace {
 
-using isa::Format;
-using isa::Instruction;
 using isa::Opcode;
 
 /// Result of executing an instruction in EX.
@@ -18,14 +16,14 @@ struct ExOutput {
   std::uint32_t target = 0;  // next pc when control_taken
 };
 
-ExOutput execute(const Instruction& inst, std::uint32_t pc, std::uint32_t a,
-                 std::uint32_t b) {
+ExOutput execute(Opcode op, std::int32_t imm, std::uint32_t pc,
+                 std::uint32_t a, std::uint32_t b) {
   ExOutput out;
   const auto sa = static_cast<std::int32_t>(a);
   const auto sb = static_cast<std::int32_t>(b);
-  const auto simm = inst.imm;
-  const auto zimm = static_cast<std::uint32_t>(inst.imm) & 0xFFFFu;
-  switch (inst.op) {
+  const auto simm = imm;
+  const auto zimm = static_cast<std::uint32_t>(imm) & 0xFFFFu;
+  switch (op) {
     case Opcode::kAddu: out.result = a + b; break;
     case Opcode::kSubu: out.result = a - b; break;
     case Opcode::kAnd: out.result = a & b; break;
@@ -68,7 +66,7 @@ ExOutput execute(const Instruction& inst, std::uint32_t pc, std::uint32_t a,
     case Opcode::kBltz:
     case Opcode::kBgez: {
       bool taken = false;
-      switch (inst.op) {
+      switch (op) {
         case Opcode::kBeq: taken = (a == b); break;
         case Opcode::kBne: taken = (a != b); break;
         case Opcode::kBlez: taken = (sa <= 0); break;
@@ -78,13 +76,13 @@ ExOutput execute(const Instruction& inst, std::uint32_t pc, std::uint32_t a,
       }
       out.result = a - b;  // the comparator's subtraction
       out.control_taken = taken;
-      out.target = pc + 1 + static_cast<std::uint32_t>(inst.imm);
+      out.target = pc + 1 + static_cast<std::uint32_t>(imm);
       break;
     }
     case Opcode::kJ:
     case Opcode::kJal:
       out.control_taken = true;
-      out.target = static_cast<std::uint32_t>(inst.imm);
+      out.target = static_cast<std::uint32_t>(imm);
       out.result = pc + 1;  // link value (kJal only)
       break;
     case Opcode::kJr:
@@ -99,14 +97,48 @@ ExOutput execute(const Instruction& inst, std::uint32_t pc, std::uint32_t a,
   return out;
 }
 
+std::int8_t reg_or_none(const std::optional<isa::Reg>& r) {
+  return r ? static_cast<std::int8_t>(*r) : std::int8_t{-1};
+}
+
 }  // namespace
+
+std::vector<Pipeline::Decoded> Pipeline::predecode(
+    const assembler::Program& program) {
+  std::vector<Decoded> text;
+  text.reserve(program.text.size());
+  for (const isa::Instruction& inst : program.text) {
+    const isa::OpcodeInfo& oi = isa::info(inst.op);
+    Decoded d;
+    // An unencodable instruction is only an error if it is ever fetched:
+    // IF re-encodes it then, throwing encode's own error.
+    try {
+      d.encoded = isa::encode(inst);
+    } catch (const std::invalid_argument&) {
+      d.encodable = false;
+    }
+    d.imm = inst.imm;
+    d.op = inst.op;
+    d.unit = oi.unit;
+    d.dest = reg_or_none(inst.dest());
+    d.src1 = reg_or_none(inst.src1());
+    d.src2 = reg_or_none(inst.src2());
+    d.secure = inst.secure;
+    d.is_load = oi.is_load;
+    d.is_store = oi.is_store;
+    d.is_halt = inst.op == Opcode::kHalt;
+    text.push_back(d);
+  }
+  return text;
+}
 
 Pipeline::Pipeline(const assembler::Program& program, SimConfig config)
     : program_(program),
+      text_(predecode(program)),
       config_(config),
       dmem_(program, config.dmem_bytes),
       pc_(program.entry()) {
-  if (program_.text.empty()) {
+  if (text_.empty()) {
     throw std::invalid_argument("Pipeline: empty program");
   }
   if (config_.dcache) dcache_.emplace(*config_.dcache);
@@ -114,6 +146,7 @@ Pipeline::Pipeline(const assembler::Program& program, SimConfig config)
 
 Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot)
     : program_(program),
+      text_(predecode(program)),
       config_(snapshot.config),
       dmem_(snapshot.memory),  // copy-on-write: pages stay shared until written
       regs_(snapshot.regs),
@@ -130,54 +163,51 @@ Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot)
       miss_stall_remaining_(snapshot.miss_stall_remaining),
       halted_(snapshot.halted),
       halt_seen_(snapshot.halt_seen) {
-  if (program_.text.empty()) {
+  if (text_.empty()) {
     throw std::invalid_argument("Pipeline: empty program");
   }
-  if (snapshot.text_size != program_.text.size()) {
+  if (snapshot.text_size != text_.size()) {
     throw std::invalid_argument(
         "Pipeline: snapshot was captured from a different program (text size " +
         std::to_string(snapshot.text_size) + " vs " +
-        std::to_string(program_.text.size()) + ")");
+        std::to_string(text_.size()) + ")");
   }
 }
 
 Snapshot Pipeline::snapshot() const {
-  Snapshot s{config_, dmem_};
-  s.regs = regs_;
-  s.pc = pc_;
-  s.if_id = if_id_;
-  s.id_ex = id_ex_;
-  s.ex_mem = ex_mem_;
-  s.mem_wb = mem_wb_;
-  s.cycles = cycles_;
-  s.retired = retired_;
-  s.stalls = stalls_;
-  s.flushes = flushes_;
-  s.dcache = dcache_;
-  s.miss_stall_remaining = miss_stall_remaining_;
-  s.halted = halted_;
-  s.halt_seen = halt_seen_;
-  s.text_size = program_.text.size();
-  return s;
+  return Snapshot{.config = config_,
+                  .memory = dmem_,
+                  .regs = regs_,
+                  .pc = pc_,
+                  .if_id = if_id_,
+                  .id_ex = id_ex_,
+                  .ex_mem = ex_mem_,
+                  .mem_wb = mem_wb_,
+                  .cycles = cycles_,
+                  .retired = retired_,
+                  .stalls = stalls_,
+                  .flushes = flushes_,
+                  .dcache = dcache_,
+                  .miss_stall_remaining = miss_stall_remaining_,
+                  .halted = halted_,
+                  .halt_seen = halt_seen_,
+                  .text_size = text_.size()};
 }
 
-std::uint32_t Pipeline::forwarded(isa::Reg r, std::uint32_t id_value) const {
+std::uint32_t Pipeline::forwarded(int r, std::uint32_t id_value) const {
   if (r == isa::kZero) return 0;
   // Younger result wins: the instruction currently in MEM first.
   if (ex_mem_.valid) {
-    const auto d = ex_mem_.inst.dest();
-    if (d && *d == r) {
-      if (isa::info(ex_mem_.inst.op).is_load) {
+    const Decoded& producer = text_[ex_mem_.pc];
+    if (producer.dest == r) {
+      if (producer.is_load) {
         // The interlock must have kept the consumer out of EX.
         throw std::logic_error("Pipeline: load-use forwarding violation");
       }
       return ex_mem_.alu;
     }
   }
-  if (mem_wb_.valid) {
-    const auto d = mem_wb_.inst.dest();
-    if (d && *d == r) return mem_wb_.value;
-  }
+  if (mem_wb_.valid && text_[mem_wb_.pc].dest == r) return mem_wb_.value;
   return id_value;
 }
 
@@ -201,38 +231,39 @@ bool Pipeline::step(energy::CycleActivity& activity) {
 
   // ---- WB (first half of the cycle: writes are visible to ID reads) ----
   if (mem_wb.valid) {
-    if (const auto d = mem_wb.inst.dest()) regs_[*d] = mem_wb.value;
+    const Decoded& d = text_[mem_wb.pc];
+    if (d.dest >= 0) regs_[static_cast<std::size_t>(d.dest)] = mem_wb.value;
     ++retired_;
-    activity.rf_write = mem_wb.inst.dest().has_value();
-    activity.wb_secure = mem_wb.inst.secure;
+    activity.rf_write = d.dest >= 0;
+    activity.wb_secure = d.secure;
     activity.retired = true;
     activity.retire_pc = mem_wb.pc;
-    if (mem_wb.inst.op == Opcode::kHalt) halted_ = true;
+    if (d.is_halt) halted_ = true;
   }
 
   // ---- MEM ----
   MemWb next_mem_wb;
   if (ex_mem.valid) {
-    const isa::OpcodeInfo& oi = isa::info(ex_mem.inst.op);
+    const Decoded& d = text_[ex_mem.pc];
     std::uint32_t value = ex_mem.alu;
-    if (oi.is_load) {
+    if (d.is_load) {
       value = dmem_.load_word(ex_mem.alu);
       activity.mem.read = true;
-    } else if (oi.is_store) {
+    } else if (d.is_store) {
       dmem_.store_word(ex_mem.alu, ex_mem.store_data);
       activity.mem.write = true;
     }
-    if (oi.is_load || oi.is_store) {
-      activity.mem.secure = ex_mem.inst.secure;
+    if (d.is_load || d.is_store) {
+      activity.mem.secure = d.secure;
       activity.mem.address = ex_mem.alu;
-      activity.mem.data = oi.is_load ? value : ex_mem.store_data;
+      activity.mem.data = d.is_load ? value : ex_mem.store_data;
       if (dcache_ && !dcache_->access(ex_mem.alu)) {
         // Blocking miss: the access completes architecturally now; the
         // refill penalty freezes the machine for the following cycles.
         miss_stall_remaining_ = dcache_->config().miss_penalty;
       }
     }
-    next_mem_wb = MemWb{true, ex_mem.inst, ex_mem.pc, value};
+    next_mem_wb = MemWb{true, ex_mem.pc, value};
   }
 
   // ---- EX ----
@@ -240,19 +271,20 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   bool flush = false;
   std::uint32_t flush_target = 0;
   if (id_ex.valid) {
+    const Decoded& d = text_[id_ex.pc];
     std::uint32_t a = id_ex.a;
     std::uint32_t b = id_ex.b;
-    if (const auto s1 = id_ex.inst.src1()) a = forwarded(*s1, a);
-    if (const auto s2 = id_ex.inst.src2()) b = forwarded(*s2, b);
-    const ExOutput out = execute(id_ex.inst, id_ex.pc, a, b);
-    next_ex_mem = ExMem{true, id_ex.inst, id_ex.pc, out.result, b};
+    if (d.src1 >= 0) a = forwarded(d.src1, a);
+    if (d.src2 >= 0) b = forwarded(d.src2, b);
+    const ExOutput out = execute(d.op, d.imm, id_ex.pc, a, b);
+    next_ex_mem = ExMem{true, id_ex.pc, out.result, b};
     if (out.control_taken) {
       flush = true;
       flush_target = out.target;
     }
     activity.ex.valid = true;
-    activity.ex.unit = isa::info(id_ex.inst.op).unit;
-    activity.ex.secure = id_ex.inst.secure;
+    activity.ex.unit = d.unit;
+    activity.ex.secure = d.secure;
     activity.ex.a = a;
     activity.ex.b = b;
     activity.ex.result = out.result;
@@ -262,15 +294,15 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   IdEx next_id_ex;
   bool stall = false;
   if (if_id.valid) {
-    const Instruction& inst = if_id.inst;
-    if (id_ex.valid && isa::info(id_ex.inst.op).is_load) {
-      const auto ldest = id_ex.inst.dest();
-      const auto s1 = inst.src1();
-      const auto s2 = inst.src2();
-      if (ldest && ((s1 && *s1 == *ldest) || (s2 && *s2 == *ldest))) {
-        stall = true;
-        ++stalls_;
-      }
+    const Decoded& d = text_[if_id.pc];
+    // Destinations of the two older instructions still in flight (-1 when
+    // the stage holds a bubble); a source register never matches -1.
+    const int ex_dest = id_ex.valid ? text_[id_ex.pc].dest : -1;
+    const int mem_dest = ex_mem.valid ? text_[ex_mem.pc].dest : -1;
+    if (ex_dest >= 0 && text_[id_ex.pc].is_load &&
+        (d.src1 == ex_dest || d.src2 == ex_dest)) {
+      stall = true;
+      ++stalls_;
     }
     if (!stall) {
       // Operand isolation: when the hazard logic already knows a source
@@ -280,26 +312,16 @@ bool Pipeline::step(energy::CycleActivity& activity) {
       // closes a side channel: without it, the *stale* architectural value
       // (possibly secret-derived) of an overwritten register would transit
       // the ID/EX register under a non-secure instruction.
-      const auto will_forward = [&](isa::Reg r) {
-        if (id_ex.valid) {
-          const auto d = id_ex.inst.dest();
-          if (d && *d == r) return true;
-        }
-        if (ex_mem.valid) {
-          const auto d = ex_mem.inst.dest();
-          if (d && *d == r) return true;
-        }
-        return false;
-      };
       int reads = 0;
-      const auto port = [&](std::optional<isa::Reg> r) -> std::uint32_t {
-        if (!r) return 0u;
-        if (config_.operand_isolation && will_forward(*r)) return 0u;
+      const auto port = [&](int r) -> std::uint32_t {
+        if (r < 0) return 0u;
+        if (config_.operand_isolation && (r == ex_dest || r == mem_dest)) {
+          return 0u;
+        }
         ++reads;
-        return regs_[*r];
+        return regs_[static_cast<std::size_t>(r)];
       };
-      next_id_ex = IdEx{true, inst, if_id.pc, port(inst.src1()),
-                        port(inst.src2())};
+      next_id_ex = IdEx{true, if_id.pc, port(d.src1), port(d.src2)};
       activity.decode = true;
       activity.rf_reads = reads;
     }
@@ -310,12 +332,12 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   bool fetched = false;
   std::uint64_t fetch_bits = 0;
   if (!stall) {
-    if (!halt_seen_ && pc_ < program_.text.size()) {
-      const Instruction& inst = program_.text[pc_];
-      fetch_bits = isa::encode(inst);
-      next_if_id = IfId{true, inst, fetch_bits, pc_};
+    if (!halt_seen_ && pc_ < text_.size()) {
+      const Decoded& d = text_[pc_];
+      fetch_bits = d.encodable ? d.encoded : isa::encode(program_.text[pc_]);
+      next_if_id = IfId{true, pc_};
       fetched = true;
-      if (inst.op == Opcode::kHalt) halt_seen_ = true;
+      if (d.is_halt) halt_seen_ = true;
       ++pc_;
     } else {
       // Past a halt, or past the end of text while an in-flight control
@@ -336,7 +358,7 @@ bool Pipeline::step(energy::CycleActivity& activity) {
     next_id_ex = IdEx{};
     pc_ = flush_target;
     halt_seen_ = false;  // fetch resumes at the target
-    if (pc_ >= program_.text.size()) {
+    if (pc_ >= text_.size()) {
       throw std::runtime_error("Pipeline: jump outside text to " +
                                std::to_string(pc_));
     }
@@ -345,24 +367,24 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   // ---- Latch energy activity (writes occurring at this clock edge) ----
   // Clock-gated: bubbles and held (stalled) latches are not rewritten.
   if (fetched && !flush) {
-    activity.if_id = energy::LatchWrite{true, false, next_if_id.encoded, 33};
+    activity.if_id = energy::LatchWrite{true, false, fetch_bits, 33};
   }
   if (next_id_ex.valid && !flush) {
     activity.id_ex = energy::LatchWrite{
-        true, next_id_ex.inst.secure,
+        true, text_[next_id_ex.pc].secure,
         static_cast<std::uint64_t>(next_id_ex.a) |
             (static_cast<std::uint64_t>(next_id_ex.b) << 32),
         64};
   }
   if (next_ex_mem.valid) {
     activity.ex_mem = energy::LatchWrite{
-        true, next_ex_mem.inst.secure,
+        true, text_[next_ex_mem.pc].secure,
         static_cast<std::uint64_t>(next_ex_mem.alu) |
             (static_cast<std::uint64_t>(next_ex_mem.store_data) << 32),
         64};
   }
   if (next_mem_wb.valid) {
-    activity.mem_wb = energy::LatchWrite{true, next_mem_wb.inst.secure,
+    activity.mem_wb = energy::LatchWrite{true, text_[next_mem_wb.pc].secure,
                                          next_mem_wb.value, 32};
   }
 
@@ -374,7 +396,7 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   ex_mem_ = next_ex_mem;
   mem_wb_ = next_mem_wb;
 
-  if (!halted_ && !halt_seen_ && pc_ >= program_.text.size() &&
+  if (!halted_ && !halt_seen_ && pc_ >= text_.size() &&
       !if_id_.valid && !id_ex_.valid && !ex_mem_.valid && !mem_wb_.valid) {
     throw std::runtime_error("Pipeline: pc ran off the end of text at " +
                              std::to_string(pc_));

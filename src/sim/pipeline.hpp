@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "assembler/program.hpp"
 #include "energy/activity.hpp"
@@ -63,32 +64,27 @@ struct SimResult {
   }
 };
 
-// Latched state between pipeline stages; `valid=false` is a bubble.  At
-// namespace scope (rather than nested in Pipeline) so sim::Snapshot can
-// carry them.
+// Latched state between pipeline stages; `valid=false` is a bubble.  The
+// instruction in flight is identified by its text index `pc`.  At namespace
+// scope (rather than nested in Pipeline) so sim::Snapshot can carry them.
 struct IfIdLatch {
   bool valid = false;
-  isa::Instruction inst;
-  std::uint64_t encoded = 0;
   std::uint32_t pc = 0;
 };
 struct IdExLatch {
   bool valid = false;
-  isa::Instruction inst;
   std::uint32_t pc = 0;
   std::uint32_t a = 0;  // rs value (or rt for shift-by-immediate)
   std::uint32_t b = 0;  // rt value
 };
 struct ExMemLatch {
   bool valid = false;
-  isa::Instruction inst;
   std::uint32_t pc = 0;
   std::uint32_t alu = 0;         // ALU result or memory address
   std::uint32_t store_data = 0;  // rt value for stores
 };
 struct MemWbLatch {
   bool valid = false;
-  isa::Instruction inst;
   std::uint32_t pc = 0;
   std::uint32_t value = 0;  // value to write back
 };
@@ -159,9 +155,31 @@ class Pipeline {
   using ExMem = ExMemLatch;
   using MemWb = MemWbLatch;
 
-  [[nodiscard]] std::uint32_t forwarded(isa::Reg r, std::uint32_t id_value) const;
+  /// One text instruction with everything step() asks of it, resolved once
+  /// per Pipeline: the fetch word and the register, unit and flag lookups
+  /// the stage, hazard and forwarding logic would otherwise redo per cycle.
+  struct Decoded {
+    std::uint64_t encoded = 0;  // 33-bit fetch word
+    std::int32_t imm = 0;
+    isa::Opcode op = isa::Opcode::kHalt;
+    isa::FuncUnit unit = isa::FuncUnit::kNone;
+    std::int8_t dest = -1;  // register written in WB, -1 = none
+    std::int8_t src1 = -1;  // registers read in ID/EX, -1 = none
+    std::int8_t src2 = -1;
+    bool secure = false;
+    bool is_load = false;
+    bool is_store = false;
+    bool is_halt = false;
+    bool encodable = true;  // false: fetching it throws isa::encode's error
+  };
+
+  [[nodiscard]] static std::vector<Decoded> predecode(
+      const assembler::Program& program);
+
+  [[nodiscard]] std::uint32_t forwarded(int r, std::uint32_t id_value) const;
 
   const assembler::Program& program_;
+  std::vector<Decoded> text_;  // indexed by instruction index (latch pc)
   SimConfig config_;
   DataMemory dmem_;
 

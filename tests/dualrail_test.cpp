@@ -3,6 +3,9 @@
 // energy — is independent of the operand data in secure mode.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "dualrail/adder_unit.hpp"
 #include "dualrail/dynamic_gate.hpp"
 #include "dualrail/precharged_bus.hpp"
@@ -101,6 +104,78 @@ TEST(DualRailXor, GatedComplementRailCostsNothingWhenUnused) {
   const CycleEnergy e = x.cycle(0xFFFF0000u, 0, true);
   EXPECT_DOUBLE_EQ(e.precharge, 0.0);  // nothing to recharge yet
   EXPECT_EQ(x.discharged_nodes(), 32);
+}
+
+// Per-node reference model of the Fig. 5 XOR: 64 DynamicNodes driven
+// through the two clock phases exactly as the circuit prescribes.
+// DualRailXor32 computes the same thing in closed form and must match it
+// bit for bit.
+class NodeLevelXor32 {
+ public:
+  NodeLevelXor32(double node_cap_farads, double vdd) {
+    for (int i = 0; i < 32; ++i) {
+      true_rail_.emplace_back(node_cap_farads, vdd);
+      complement_rail_.emplace_back(node_cap_farads, vdd);
+    }
+  }
+
+  CycleEnergy cycle(std::uint32_t a, std::uint32_t b, bool secure) {
+    CycleEnergy e;
+    for (std::size_t i = 0; i < 32; ++i) {
+      e.precharge += true_rail_[i].precharge();
+      e.precharge += complement_rail_[i].precharge();
+    }
+    const std::uint32_t x = a ^ b;
+    discharged_ = 0;
+    for (unsigned i = 0; i < 32; ++i) {
+      const bool bit = ((x >> i) & 1u) != 0;
+      true_rail_[i].evaluate(bit);
+      if (bit) ++discharged_;
+      if (secure) {
+        complement_rail_[i].evaluate(!bit);
+        if (!bit) ++discharged_;
+      }
+    }
+    result_ = 0;
+    for (unsigned i = 0; i < 32; ++i) {
+      if (!true_rail_[i].output()) result_ |= 1u << i;
+    }
+    return e;
+  }
+
+  [[nodiscard]] std::uint32_t result() const { return result_; }
+  [[nodiscard]] int discharged_nodes() const { return discharged_; }
+
+ private:
+  std::vector<DynamicNode> true_rail_;
+  std::vector<DynamicNode> complement_rail_;
+  std::uint32_t result_ = 0;
+  int discharged_ = 0;
+};
+
+TEST(DualRailXor, ClosedFormMatchesNodeLevelModel) {
+  DualRailXor32 unit(kNodeCap, kVdd);
+  NodeLevelXor32 reference(kNodeCap, kVdd);
+  util::Rng rng(0xF15);
+  for (int step = 0; step < 100000; ++step) {
+    const std::uint32_t a = rng.next_u32();
+    // Equal and complementary operands reach the extreme node counts.
+    const std::uint64_t kind = rng.next_below(4);
+    const std::uint32_t b = kind == 0   ? a
+                            : kind == 1 ? ~a
+                                        : rng.next_u32();
+    const bool secure = rng.next_below(2) != 0;
+    const CycleEnergy got = unit.cycle(a, b, secure);
+    const CycleEnergy want = reference.cycle(a, b, secure);
+    ASSERT_EQ(std::memcmp(&got.precharge, &want.precharge, sizeof(double)), 0)
+        << "step " << step << ": " << got.precharge << " vs "
+        << want.precharge;
+    ASSERT_EQ(std::memcmp(&got.evaluate, &want.evaluate, sizeof(double)), 0)
+        << "step " << step;
+    ASSERT_EQ(unit.discharged_nodes(), reference.discharged_nodes())
+        << "step " << step;
+    ASSERT_EQ(unit.result(), reference.result()) << "step " << step;
+  }
 }
 
 TEST(DualRailAdder, ComputesSum) {

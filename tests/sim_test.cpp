@@ -1,6 +1,9 @@
 // Cycle-accurate pipeline: ISA semantics, hazards, forwarding, timing.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "assembler/assembler.hpp"
 #include "sim/interpreter.hpp"
 #include "sim/pipeline.hpp"
@@ -300,6 +303,104 @@ TEST(Pipeline, CycleLimitEnforced) {
 TEST(Pipeline, EmptyProgramRejected) {
   assembler::Program prog;  // no instructions
   EXPECT_THROW(Pipeline{prog}, std::invalid_argument);
+}
+
+// The pipeline encodes its text once, up front, but an instruction that
+// cannot be encoded is an error only when it is fetched.
+TEST(Pipeline, UnencodableInstructionThrowsOnlyWhenFetched) {
+  const isa::Instruction bad =
+      isa::make_shift(isa::Opcode::kSll, 8, 8, /*shamt=*/40);
+  assembler::Program after_halt =
+      assembler::assemble("main:\n  li $t0, 1\n  halt\n");
+  after_halt.text.push_back(bad);
+  Pipeline never_fetched(after_halt);
+  EXPECT_TRUE(never_fetched.run().halted);
+  EXPECT_EQ(never_fetched.reg(8), 1u);
+
+  assembler::Program before_halt =
+      assembler::assemble("main:\n  li $t0, 1\n  halt\n");
+  before_halt.text.insert(before_halt.text.begin() + 1, bad);
+  Pipeline fetched(before_halt);
+  try {
+    fetched.run();
+    ADD_FAILURE() << "fetching an unencodable instruction must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "encode: shamt out of range");
+  }
+}
+
+// ---- Data memory: paging, the shared zero page, access checks ----
+
+std::string access_error(const std::function<void()>& access) {
+  try {
+    access();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(DataMemory, FreshMemoriesShareUntouchedPages) {
+  const assembler::Program prog = assembler::assemble("main:\n  halt\n");
+  const DataMemory a(prog);
+  const DataMemory b(prog);
+  for (const std::uint32_t off : {0u, 4096u, 8192u, (1u << 20) - 4}) {
+    EXPECT_TRUE(a.shares_page_with(b, a.base() + off)) << off;
+    EXPECT_EQ(a.load_word(a.base() + off), 0u) << off;
+  }
+}
+
+TEST(DataMemory, StoreIntoZeroPageClonesIt) {
+  const assembler::Program prog = assembler::assemble("main:\n  halt\n");
+  DataMemory a(prog);
+  const DataMemory b(prog);
+  const std::uint32_t addr = a.base() + 8192 + 12;
+  a.store_word(addr, 0xDEADBEEFu);
+  EXPECT_FALSE(a.shares_page_with(b, addr));
+  EXPECT_TRUE(a.shares_page_with(b, a.base() + 4096));
+  EXPECT_EQ(a.load_word(addr), 0xDEADBEEFu);
+  EXPECT_EQ(a.load_word(addr + 4), 0u);
+  EXPECT_EQ(b.load_word(addr), 0u);
+  // The shared page itself was never written: a later memory reads zero.
+  EXPECT_EQ(DataMemory(prog).load_word(addr), 0u);
+}
+
+TEST(DataMemory, ImageAcrossPagesAndPartialLastPageLoadBackExactly) {
+  assembler::Program prog = assembler::assemble("main:\n  halt\n");
+  prog.data.resize(6000);  // crosses the 4 KiB page boundary
+  for (std::size_t i = 0; i < prog.data.size(); ++i) {
+    prog.data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  const std::size_t size = 10002;  // neither a page nor a word multiple
+  const DataMemory m(prog, size);
+  EXPECT_EQ(m.size(), size);
+  for (std::uint32_t off = 0; off + 4 <= size; off += 4) {
+    std::uint32_t want = 0;
+    for (std::uint32_t k = 0; k < 4; ++k) {
+      if (off + k < prog.data.size()) {
+        want |= std::uint32_t{prog.data[off + k]} << (8 * k);
+      }
+    }
+    ASSERT_EQ(m.load_word(m.base() + off), want) << "offset " << off;
+  }
+  prog.data.resize(size + 1);
+  EXPECT_THROW(DataMemory(prog, size), std::invalid_argument);
+}
+
+TEST(DataMemory, BadAccessesKeepTheirMessages) {
+  const assembler::Program prog = assembler::assemble("main:\n  halt\n");
+  DataMemory m(prog, 10002);
+  const std::uint32_t base = m.base();
+  EXPECT_EQ(access_error([&] { (void)m.load_word(base + 2); }),
+            "DataMemory: unaligned 4-byte word access at 0x00010002");
+  EXPECT_EQ(access_error([&] { m.store_word(base + 6, 1); }),
+            "DataMemory: unaligned 4-byte word access at 0x00010006");
+  const std::string range = " (valid range [0x00010000, 0x00012712))";
+  EXPECT_EQ(access_error([&] { (void)m.load_word(base + 10000); }),
+            "DataMemory: 4-byte access outside memory at 0x00012710" + range);
+  EXPECT_EQ(access_error([&] { m.store_word(base - 4, 1); }),
+            "DataMemory: 4-byte access outside memory at 0x0000FFFC" + range);
+  EXPECT_EQ(access_error([&] { (void)m.load_word(base + 9996); }), "no error");
 }
 
 // ---- Functional interpreter edge cases ----
