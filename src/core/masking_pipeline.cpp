@@ -229,9 +229,9 @@ EncryptionRun MaskingPipeline::forked_des(
   energy::ProcessorEnergyModel model = snapshot.model;  // resume mid-trace
   EncryptionRun run;
   // The hoisted DES shape spends ~40% of its cycles before the fork
-  // marker, so three prefixes hold the whole trace in one allocation; a
-  // copied prefix would be regrown twice per fork, and that churn in the
-  // workers' allocator arenas is what sets a forked batch's peak memory.
+  // marker, so three prefixes hold the whole trace in one allocation.
+  // Regrowing a copied prefix twice per fork churns the worker threads'
+  // malloc arenas and measurably raises a forked batch's peak memory.
   run.trace.reserve(3 * snapshot.prefix.size());
   for (const double pj : snapshot.prefix.samples()) {
     run.trace.push(pj);  // splice the shared prefix in front

@@ -12,8 +12,7 @@
 // Every node is a DynamicNode of the same capacitance, so the circuit's
 // state is just which nodes the last evaluation discharged (one mask per
 // rail), and a cycle's pre-charge energy depends only on how many of them
-// there are.  The unit keeps the two masks and a table of those energies
-// instead of 64 node objects.
+// there are: the unit keeps the two masks and a table of those energies.
 #pragma once
 
 #include <array>
