@@ -21,7 +21,6 @@
 #include "analysis/tvla.hpp"
 #include "bitslice/providers.hpp"
 #include "core/batch_runner.hpp"
-#include "energy/kernels.hpp"
 #include "core/masking_pipeline.hpp"
 #include "core/phase_profile.hpp"
 #include "energy/components.hpp"
@@ -210,6 +209,203 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
+// ------------------------------------------------------------ key attacks
+
+/// Every campaign key attack targets round-1 S-box 0, the attack configs'
+/// default; per-S-box windows are derived for it.
+constexpr int kTargetSbox = 0;
+
+/// An analysis window in cycles, [begin, end); end = SIZE_MAX runs to the
+/// end of the trace.
+struct Window {
+  std::size_t begin = 0;
+  std::size_t end = SIZE_MAX;
+};
+
+/// The spec's [campaign] window (window_end = 0 means "to the end").
+Window spec_window(const Scenario& s) {
+  return {s.window_begin, s.window_end == 0 ? SIZE_MAX : s.window_end};
+}
+
+/// Round-1 window of `sbox` in the compiled program.  Shuffled devices
+/// desynchronize the cycle axis, so a fixed-schedule window can silently
+/// truncate late-shifted traces: derive the widest window — begin from the
+/// zero-delay schedule, end from the all-max schedule — and fail loudly if
+/// the program lacks the labels rather than falling back to the spec
+/// window.  Unshuffled programs without the labels yield an invalid window.
+core::SboxWindow round1_window(const Scenario& s,
+                               const assembler::Program& program, int sbox) {
+  if (s.policy.hiding != hiding::HidingPolicy::kShuffleNop) {
+    return core::des_round1_sbox_window(program, sbox);
+  }
+  const core::SboxWindow w = core::des_round1_sbox_window_bounds(
+      program, sbox, hiding::kShuffleNopMaxDelay);
+  if (!w.valid()) {
+    throw SpecError(s.id +
+                    ": cannot derive a shuffle-aware attack window (the "
+                    "program lacks the generator's round_loop/sbox_loop "
+                    "labels)");
+  }
+  return w;
+}
+
+/// The target S-box's round-1 window, or the spec window when the program
+/// has none.
+Window sbox_window(const Scenario& s, const assembler::Program& program) {
+  const core::SboxWindow w = round1_window(s, program, kTargetSbox);
+  return w.valid() ? Window{w.begin, w.end} : spec_window(s);
+}
+
+/// A round-1 DES key attack as the capture loop sees it: a stream of
+/// (public DES input, trace) pairs in, 64 per-guess scores out.
+class KeyAttack {
+ public:
+  KeyAttack() = default;
+  KeyAttack(const KeyAttack&) = delete;
+  KeyAttack& operator=(const KeyAttack&) = delete;
+  KeyAttack(KeyAttack&&) = delete;
+  KeyAttack& operator=(KeyAttack&&) = delete;
+  virtual ~KeyAttack() = default;
+  virtual void add_trace(std::uint64_t input,
+                         const analysis::Trace& trace) = 0;
+  /// The current per-guess scores (one solve).
+  [[nodiscard]] virtual std::vector<double> scores() const = 0;
+  /// Final solve: sets metric, best guess, true subkey chunk, success and
+  /// margin, and returns the per-guess scores for guesses.csv.
+  virtual std::vector<double> finish(ScenarioResult& r) const = 0;
+};
+
+/// KeyAttack over one analysis:: attack class; `kScores` / `kBest` name
+/// its result's per-guess score array and best score.
+template <typename Attack, auto kScores, auto kBest>
+class KeyAttackOf final : public KeyAttack {
+ public:
+  template <typename Config>
+  KeyAttackOf(const Config& cfg, std::uint64_t key)
+      : attack(cfg),
+        true_value_(analysis::DpaAttack::true_subkey_chunk(key, cfg.sbox)) {}
+
+  void add_trace(std::uint64_t input, const analysis::Trace& trace) override {
+    attack.add_trace(input, trace);
+  }
+  std::vector<double> scores() const override {
+    return as_scores(attack.solve().*kScores);
+  }
+  std::vector<double> finish(ScenarioResult& r) const override {
+    const auto result = attack.solve();
+    r.metric = result.*kBest;
+    r.best_guess = result.best_guess;
+    r.true_value = true_value_;
+    r.success = r.best_guess == r.true_value;
+    r.margin = result.margin();
+    return as_scores(result.*kScores);
+  }
+
+  Attack attack;
+
+ private:
+  int true_value_;
+};
+
+template <typename Config>
+Config attack_config(Window w) {
+  Config cfg;
+  cfg.sbox = kTargetSbox;
+  cfg.window_begin = w.begin;
+  cfg.window_end = w.end;
+  return cfg;
+}
+
+/// One row per round-1 DES key attack.  Each builds its attack with the
+/// bitsliced hypothesis provider installed (the scalar null-provider path
+/// stays in analysis:: as the tests' reference oracle).
+struct KeyAttackRow {
+  Analysis analysis;
+  const char* column;  // guesses.csv score column
+  /// Single-block window: the target S-box's round-1 window (true) or the
+  /// spec window (false).  Session scenarios always use the S-box window.
+  bool sbox_window;
+  std::unique_ptr<KeyAttack> (*make)(Window window, std::uint64_t key);
+};
+
+const KeyAttackRow kKeyAttacks[] = {
+    {Analysis::kDpa, "dom_peak_pj", false,
+     [](Window w, std::uint64_t key) -> std::unique_ptr<KeyAttack> {
+       const auto cfg = attack_config<analysis::DpaConfig>(w);
+       auto a = std::make_unique<KeyAttackOf<
+           analysis::DpaAttack, &analysis::DpaResult::peak_per_guess,
+           &analysis::DpaResult::best_peak>>(cfg, key);
+       a->attack.set_provider(
+           std::make_shared<bitslice::DpaProvider>(cfg.sbox, cfg.bit));
+       return a;
+     }},
+    {Analysis::kCpa, "abs_rho", false,
+     [](Window w, std::uint64_t key) -> std::unique_ptr<KeyAttack> {
+       const auto cfg = attack_config<analysis::CpaConfig>(w);
+       auto a = std::make_unique<KeyAttackOf<
+           analysis::CpaAttack, &analysis::CpaResult::corr_per_guess,
+           &analysis::CpaResult::best_corr>>(cfg, key);
+       a->attack.set_provider(
+           std::make_shared<bitslice::CpaProvider>(cfg.sbox));
+       return a;
+     }},
+    {Analysis::kMlpa, "mlpa_score", true,
+     [](Window w, std::uint64_t key) -> std::unique_ptr<KeyAttack> {
+       const auto cfg = attack_config<analysis::MlpaConfig>(w);
+       auto a = std::make_unique<KeyAttackOf<
+           analysis::MlpaAttack, &analysis::MlpaResult::score_per_guess,
+           &analysis::MlpaResult::best_score>>(cfg, key);
+       std::vector<int> in_masks;
+       for (const analysis::LinearApprox& ap : a->attack.approximations()) {
+         in_masks.push_back(ap.in_mask);
+       }
+       a->attack.set_provider(std::make_shared<bitslice::MlpaProvider>(
+           cfg.sbox, std::move(in_masks)));
+       return a;
+     }},
+    {Analysis::kCollision, "collision_score", true,
+     [](Window w, std::uint64_t key) -> std::unique_ptr<KeyAttack> {
+       const auto cfg = attack_config<analysis::CollisionConfig>(w);
+       auto a = std::make_unique<KeyAttackOf<
+           analysis::CollisionAttack,
+           &analysis::CollisionResult::score_per_guess,
+           &analysis::CollisionResult::best_score>>(cfg, key);
+       a->attack.set_provider(
+           std::make_shared<bitslice::CollisionProvider>(cfg.sbox));
+       return a;
+     }},
+};
+
+/// The row for `a`, or nullptr when `a` is not a round-1 DES key attack.
+const KeyAttackRow* find_key_attack(Analysis a) {
+  for (const KeyAttackRow& row : kKeyAttacks) {
+    if (row.analysis == a) return &row;
+  }
+  return nullptr;
+}
+
+/// The one key-attack sequence both scenario shapes share: capture ->
+/// disclosure sampling -> final solve -> guesses.csv / disclosure.csv.
+/// `capture(sink)` must call sink(index, des_input, trace) once per trace
+/// in index order; the two shapes differ only in that input stream.
+template <typename Capture>
+void run_key_attack(const KeyAttackRow& row, Window window,
+                    std::uint64_t key, std::size_t total,
+                    const std::string& dir, ScenarioResult& r,
+                    Capture&& capture) {
+  const std::unique_ptr<KeyAttack> attack = row.make(window, key);
+  DisclosureRecorder disclosure(total);
+  capture([&](std::size_t index, std::uint64_t input,
+              const analysis::Trace& trace) {
+    attack->add_trace(input, trace);
+    disclosure.sample(index, [&] { return attack->scores(); });
+  });
+  write_guesses_csv(dir, attack->finish(r), row.column);
+  disclosure.write(dir);
+}
+
+// -------------------------------------------------------- scenario shapes
+
 /// Session-cipher execution: the scenario runs a multi-block CBC session
 /// through session::SessionEngine instead of a single-block device.  The
 /// per-block trace is the unit of attack data (the block index plays the
@@ -242,7 +438,6 @@ ScenarioResult run_session_scenario(const CampaignSpec& spec,
   ScenarioResult r;
   r.secured_count = engine.device(0).mask_result().secured_count;
   r.program_instructions = engine.device(0).program().text.size();
-  r.threads_used = options.jobs;
 
   // Message blocks are pure functions of the scenario seed — the session
   // counterpart of the random-plaintext convention.
@@ -259,182 +454,52 @@ ScenarioResult run_session_scenario(const CampaignSpec& spec,
 
   // Stats accumulate over every simulated (block, stage) run; stage-0
   // bookkeeping (des_input, saved traces) is per block.
-  const auto accumulate = [&](const session::BlockEvent& ev,
-                              core::EncryptionRun& run) {
-    ++r.encryptions;
-    r.total_cycles += run.sim.cycles;
-    r.total_instructions += run.sim.instructions;
-    r.total_energy_uj += run.total_uj();
-    if (ev.stage == 0) {
-      des_inputs[ev.block] = ev.des_input;
-      if (trace_writer) trace_writer->append(ev.des_input, run.trace);
-    }
-  };
-  // Attack capture windows round 1 of the chained first pass, located in
-  // the compiled program; the session simulates only that pass, truncated
-  // at the window's end.
-  const auto attack_window = [&](std::size_t sbox, std::size_t& begin,
-                                 std::size_t& end) {
-    // Shuffled sessions need the widest window over every delay schedule;
-    // see the single-block path for the derivation rationale.
-    const bool shuffled =
-        s.policy.hiding == hiding::HidingPolicy::kShuffleNop;
-    const core::SboxWindow w =
-        shuffled ? core::des_round1_sbox_window_bounds(
-                       engine.device(0).program(), static_cast<int>(sbox),
-                       hiding::kShuffleNopMaxDelay)
-                 : core::des_round1_sbox_window(engine.device(0).program(),
-                                                static_cast<int>(sbox));
-    if (shuffled && !w.valid()) {
-      throw SpecError(s.id +
-                      ": cannot derive a shuffle-aware attack window (the "
-                      "program lacks the generator's round_loop/sbox_loop "
-                      "labels)");
-    }
-    begin = w.valid() ? w.begin : s.window_begin;
-    end = w.valid() ? w.end
-                    : (s.window_end == 0 ? SIZE_MAX : s.window_end);
-    engine.set_stop_after_cycles(w.valid() ? w.end : s.window_end);
+  session::SessionResult session;
+  const auto encrypt = [&](const auto& each) {
+    session = engine.encrypt(blocks, [&](const session::BlockEvent& ev,
+                                         core::EncryptionRun& run) {
+      ++r.encryptions;
+      r.total_cycles += run.sim.cycles;
+      r.total_instructions += run.sim.instructions;
+      r.total_energy_uj += run.total_uj();
+      if (ev.stage == 0) {
+        des_inputs[ev.block] = ev.des_input;
+        if (trace_writer) trace_writer->append(ev.des_input, run.trace);
+      }
+      each(ev, run);
+    });
   };
 
-  session::SessionResult session;
-  switch (s.analysis) {
-    case Analysis::kEnergy: {
-      energy::Breakdown breakdown;
-      session = engine.encrypt(
-          blocks, [&](const session::BlockEvent& ev, core::EncryptionRun& run) {
-            accumulate(ev, run);
-            for (std::size_t c = 0; c < energy::kNumComponents; ++c) {
-              const auto component = static_cast<energy::Component>(c);
-              breakdown.add(component, run.breakdown.get(component));
-            }
-          });
-      r.metric = r.mean_uj();
-      r.success = true;
-      write_breakdown_csv(dir, breakdown);
-      break;
-    }
-    case Analysis::kDpa: {
-      analysis::DpaConfig cfg_a;
-      attack_window(cfg_a.sbox, cfg_a.window_begin, cfg_a.window_end);
-      analysis::DpaAttack dpa(cfg_a);
-      if (options.backend != Backend::kScalar) {
-        dpa.set_provider(
-            std::make_shared<bitslice::DpaProvider>(cfg_a.sbox, cfg_a.bit));
+  if (s.analysis == Analysis::kEnergy) {
+    energy::Breakdown breakdown;
+    encrypt([&](const session::BlockEvent&, core::EncryptionRun& run) {
+      for (std::size_t c = 0; c < energy::kNumComponents; ++c) {
+        const auto component = static_cast<energy::Component>(c);
+        breakdown.add(component, run.breakdown.get(component));
       }
-      DisclosureRecorder disclosure(n);
-      session = engine.encrypt(
-          blocks, [&](const session::BlockEvent& ev, core::EncryptionRun& run) {
-            accumulate(ev, run);
-            dpa.add_trace(ev.des_input, run.trace);
-            disclosure.sample(ev.block, [&] {
-              return as_scores(dpa.solve().peak_per_guess);
-            });
-          });
-      const analysis::DpaResult result = dpa.solve();
-      r.metric = result.best_peak;
-      r.best_guess = result.best_guess;
-      r.true_value =
-          analysis::DpaAttack::true_subkey_chunk(s.key, cfg_a.sbox);
-      r.success = r.best_guess == r.true_value;
-      r.margin = result.margin();
-      write_guesses_csv(dir, result.peak_per_guess, "dom_peak_pj");
-      disclosure.write(dir);
-      break;
-    }
-    case Analysis::kCpa: {
-      analysis::CpaConfig cfg_a;
-      attack_window(cfg_a.sbox, cfg_a.window_begin, cfg_a.window_end);
-      analysis::CpaAttack cpa(cfg_a);
-      if (options.backend != Backend::kScalar) {
-        cpa.set_provider(std::make_shared<bitslice::CpaProvider>(cfg_a.sbox));
-      }
-      DisclosureRecorder disclosure(n);
-      session = engine.encrypt(
-          blocks, [&](const session::BlockEvent& ev, core::EncryptionRun& run) {
-            accumulate(ev, run);
-            cpa.add_trace(ev.des_input, run.trace);
-            disclosure.sample(ev.block, [&] {
-              return as_scores(cpa.solve().corr_per_guess);
-            });
-          });
-      const analysis::CpaResult result = cpa.solve();
-      r.metric = result.best_corr;
-      r.best_guess = result.best_guess;
-      r.true_value =
-          analysis::DpaAttack::true_subkey_chunk(s.key, cfg_a.sbox);
-      r.success = r.best_guess == r.true_value;
-      r.margin = result.margin();
-      write_guesses_csv(dir, result.corr_per_guess, "abs_rho");
-      disclosure.write(dir);
-      break;
-    }
-    case Analysis::kMlpa: {
-      analysis::MlpaConfig cfg_a;
-      attack_window(cfg_a.sbox, cfg_a.window_begin, cfg_a.window_end);
-      analysis::MlpaAttack mlpa(cfg_a);
-      if (options.backend != Backend::kScalar) {
-        std::vector<int> in_masks;
-        for (const analysis::LinearApprox& ap : mlpa.approximations()) {
-          in_masks.push_back(ap.in_mask);
-        }
-        mlpa.set_provider(std::make_shared<bitslice::MlpaProvider>(
-            cfg_a.sbox, std::move(in_masks)));
-      }
-      DisclosureRecorder disclosure(n);
-      session = engine.encrypt(
-          blocks, [&](const session::BlockEvent& ev, core::EncryptionRun& run) {
-            accumulate(ev, run);
-            mlpa.add_trace(ev.des_input, run.trace);
-            disclosure.sample(ev.block, [&] {
-              return as_scores(mlpa.solve().score_per_guess);
-            });
-          });
-      const analysis::MlpaResult result = mlpa.solve();
-      r.metric = result.best_score;
-      r.best_guess = result.best_guess;
-      r.true_value =
-          analysis::DpaAttack::true_subkey_chunk(s.key, cfg_a.sbox);
-      r.success = r.best_guess == r.true_value;
-      r.margin = result.margin();
-      write_guesses_csv(dir, result.score_per_guess, "mlpa_score");
-      disclosure.write(dir);
-      break;
-    }
-    case Analysis::kCollision: {
-      analysis::CollisionConfig cfg_a;
-      attack_window(cfg_a.sbox, cfg_a.window_begin, cfg_a.window_end);
-      analysis::CollisionAttack collision(cfg_a);
-      if (options.backend != Backend::kScalar) {
-        collision.set_provider(
-            std::make_shared<bitslice::CollisionProvider>(cfg_a.sbox));
-      }
-      DisclosureRecorder disclosure(n);
-      session = engine.encrypt(
-          blocks, [&](const session::BlockEvent& ev, core::EncryptionRun& run) {
-            accumulate(ev, run);
-            collision.add_trace(ev.des_input, run.trace);
-            disclosure.sample(ev.block, [&] {
-              return as_scores(collision.solve().score_per_guess);
-            });
-          });
-      const analysis::CollisionResult result = collision.solve();
-      r.metric = result.best_score;
-      r.best_guess = result.best_guess;
-      r.true_value =
-          analysis::DpaAttack::true_subkey_chunk(s.key, cfg_a.sbox);
-      r.success = r.best_guess == r.true_value;
-      r.margin = result.margin();
-      write_guesses_csv(dir, result.score_per_guess, "collision_score");
-      disclosure.write(dir);
-      break;
-    }
-    default:
+    });
+    r.metric = r.mean_uj();
+    r.success = true;
+    write_breakdown_csv(dir, breakdown);
+  } else {
+    const KeyAttackRow* row = find_key_attack(s.analysis);
+    if (row == nullptr) {
       // expand() rejects these; keep the message aligned with its table.
       throw SpecError("analysis '" + std::string(analysis_name(s.analysis)) +
                       "' is not defined for session ciphers "
                       "(expected energy|dpa|cpa|mlpa|collision)");
+    }
+    // Attack capture windows round 1 of the chained first pass; the
+    // session simulates only that pass, truncated at the window's end.
+    const Window window = sbox_window(s, engine.device(0).program());
+    engine.set_stop_after_cycles(window.end == SIZE_MAX ? 0 : window.end);
+    run_key_attack(*row, window, s.key, n, dir, r, [&](const auto& sink) {
+      encrypt([&](const session::BlockEvent& ev, core::EncryptionRun& run) {
+        sink(ev.block, ev.des_input, run.trace);
+      });
+    });
   }
+  r.threads_used = session.threads_used;
 
   if (trace_writer) {
     if (trace_writer->written() == n) trace_writer->close();
@@ -473,75 +538,24 @@ ScenarioResult run_session_scenario(const CampaignSpec& spec,
   return r;
 }
 
-}  // namespace
-
-Backend backend_from_name(const std::string& name) {
-  if (name == "auto") return Backend::kAuto;
-  if (name == "scalar") return Backend::kScalar;
-  if (name == "bitslice") return Backend::kBitslice;
-  throw SpecError("unknown backend '" + name +
-                  "' (expected auto, scalar, or bitslice)");
-}
-
-CampaignRunner::CampaignRunner(CampaignSpec spec, RunnerOptions options)
-    : spec_(std::move(spec)), options_(std::move(options)) {
-  if (options_.out_dir.empty()) {
-    throw SpecError("campaign runner needs an output directory");
-  }
-  // The energy-kernel toggle is process-global; an explicit --backend
-  // pins it, kAuto keeps the default/env selection.
-  if (options_.backend == Backend::kScalar) {
-    energy::set_hamming_backend(energy::HammingBackend::kScalar);
-  } else if (options_.backend == Backend::kBitslice) {
-    energy::set_hamming_backend(energy::HammingBackend::kBitslice);
-  }
-}
-
-ScenarioResult CampaignRunner::execute(const Scenario& s,
-                                       const std::string& dir) const {
-  const auto t0 = std::chrono::steady_clock::now();
-  const energy::TechParams params = s.tech_params(spec_.tech_overrides);
-  if (is_session_cipher(s.cipher)) {
-    ScenarioResult r = run_session_scenario(spec_, options_, s, params, dir);
-    r.wall_seconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
-    write_result_csv(dir, r);
-    return r;
-  }
+/// Single-block execution (des / aes / sha1): one BatchRunner capture per
+/// scenario (two for TVLA's fixed and random classes).
+ScenarioResult run_block_scenario(const CampaignSpec& spec,
+                                  const RunnerOptions& options,
+                                  const Scenario& s,
+                                  const energy::TechParams& params,
+                                  const std::string& dir) {
   core::BatchConfig bc;
-  bc.threads = options_.jobs;
+  bc.threads = options.jobs;
   bc.noise_sigma_pj = s.noise_sigma_pj;
   bc.noise_seed = s.seed ^ 0x5EED50FAull;
   const core::MaskingPipeline device = build_device(s, params, bc);
-
-  // Shuffled devices desynchronize the cycle axis, so a fixed-schedule
-  // window can silently truncate late-shifted traces.  Derive the widest
-  // window — begin from the zero-delay schedule, end from the all-max
-  // schedule — from the compiled program, and fail loudly if the program
-  // lacks the labels rather than falling back to the spec window.
-  const bool shuffled = s.policy.hiding == hiding::HidingPolicy::kShuffleNop;
-  const auto sbox_window = [&](std::size_t sbox) -> core::SboxWindow {
-    const core::SboxWindow w =
-        shuffled ? core::des_round1_sbox_window_bounds(
-                       device.program(), static_cast<int>(sbox),
-                       hiding::kShuffleNopMaxDelay)
-                 : core::des_round1_sbox_window(device.program(),
-                                                static_cast<int>(sbox));
-    if (shuffled && !w.valid()) {
-      throw SpecError(s.id +
-                      ": cannot derive a shuffle-aware attack window (the "
-                      "program lacks the generator's round_loop/sbox_loop "
-                      "labels)");
-    }
-    return w;
-  };
-  if (shuffled && s.analysis != Analysis::kEnergy &&
-      bc.stop_after_cycles != 0) {
+  if (s.policy.hiding == hiding::HidingPolicy::kShuffleNop &&
+      s.analysis != Analysis::kEnergy && bc.stop_after_cycles != 0) {
     // The shuffled program runs longer than the classic one; the capture
     // must cover the widest schedule or TraceWindow::admit will throw.
-    bc.stop_after_cycles =
-        std::max<std::uint64_t>(bc.stop_after_cycles, sbox_window(7).end);
+    bc.stop_after_cycles = std::max<std::uint64_t>(
+        bc.stop_after_cycles, round1_window(s, device.program(), 7).end);
   }
   core::BatchRunner runner(device, bc);
 
@@ -551,133 +565,86 @@ ScenarioResult CampaignRunner::execute(const Scenario& s,
 
   // Input for batch index i: plaintext Rng::nth(scenario seed, i) under the
   // campaign key (for aes/sha1 the u64 is expanded into a block by the run
-  // function, so the same generator drives all three ciphers).
+  // function, so the same generator drives all three ciphers).  Every
+  // random-class capture is what traces.emts saves.
   const core::InputGenerator random_inputs =
       core::random_plaintexts(s.key, s.seed);
-  const core::InputGenerator fixed_inputs =
-      [&s](std::size_t) -> core::BatchInput {
-    return {s.key, s.fixed_input};
+  const auto capture_random = [&](std::size_t count, const auto& each) {
+    std::unique_ptr<analysis::TraceSetWriter> trace_writer;
+    if (spec.save_traces) {
+      trace_writer = std::make_unique<analysis::TraceSetWriter>(
+          dir + "/traces.emts", count);
+    }
+    runner.capture_each(count, random_inputs,
+                        [&](std::size_t index, const core::BatchInput& input,
+                            core::EncryptionRun& run) {
+                          if (trace_writer) {
+                            trace_writer->append(input.plaintext, run.trace);
+                          }
+                          each(index, input, run);
+                        });
+    fill_batch_stats(r, runner.stats());
+    if (trace_writer && trace_writer->written() == count) {
+      trace_writer->close();
+    }
   };
-  const std::size_t window_end =
-      s.window_end == 0 ? SIZE_MAX : s.window_end;
+  const Window window = spec_window(s);
 
-  std::unique_ptr<analysis::TraceSetWriter> trace_writer;
-  std::size_t trace_writer_count = 0;
-  const auto open_trace_writer = [&](std::size_t count) {
-    if (!spec_.save_traces) return;
-    trace_writer = std::make_unique<analysis::TraceSetWriter>(
-        dir + "/traces.emts", count);
-    trace_writer_count = count;
-  };
-  const auto record_trace = [&](const core::BatchInput& input,
-                                const analysis::Trace& trace) {
-    if (trace_writer) trace_writer->append(input.plaintext, trace);
-  };
+  if (const KeyAttackRow* row = find_key_attack(s.analysis);
+      row != nullptr && s.cipher == Cipher::kDes) {
+    run_key_attack(
+        *row, row->sbox_window ? sbox_window(s, device.program()) : window,
+        s.key, s.traces, dir, r, [&](const auto& sink) {
+          capture_random(s.traces, [&](std::size_t index,
+                                       const core::BatchInput& input,
+                                       core::EncryptionRun& run) {
+            sink(index, input.plaintext, run.trace);
+          });
+        });
+    return r;
+  }
 
   switch (s.analysis) {
     case Analysis::kEnergy: {
-      open_trace_writer(s.traces);
-      runner.capture_each(s.traces, random_inputs,
-                          [&](std::size_t, const core::BatchInput& input,
-                              core::EncryptionRun& run) {
-                            record_trace(input, run.trace);
-                          });
-      fill_batch_stats(r, runner.stats());
+      capture_random(s.traces, [](std::size_t, const core::BatchInput&,
+                                  core::EncryptionRun&) {});
       r.metric = r.mean_uj();
       r.success = true;
       write_breakdown_csv(dir, runner.stats().breakdown);
       break;
     }
-    case Analysis::kDpa: {
-      analysis::DpaConfig cfg;
-      cfg.window_begin = s.window_begin;
-      cfg.window_end = window_end;
-      analysis::DpaAttack dpa(cfg);
-      if (options_.backend != Backend::kScalar) {
-        dpa.set_provider(
-            std::make_shared<bitslice::DpaProvider>(cfg.sbox, cfg.bit));
-      }
-      DisclosureRecorder disclosure(s.traces);
-      open_trace_writer(s.traces);
-      runner.capture_each(s.traces, random_inputs,
-                          [&](std::size_t index, const core::BatchInput& input,
-                              core::EncryptionRun& run) {
-                            record_trace(input, run.trace);
-                            dpa.add_trace(input.plaintext, run.trace);
-                            disclosure.sample(index, [&] {
-                              return as_scores(dpa.solve().peak_per_guess);
-                            });
-                          });
-      fill_batch_stats(r, runner.stats());
-      const analysis::DpaResult result = dpa.solve();
-      r.metric = result.best_peak;
+    case Analysis::kCpa: {
+      // AES: classic first-round CPA on the Hamming weight of
+      // sbox(pt[0] ^ guess), 256 guesses.
+      analysis::GenericCpa cpa(256, window.begin, window.end);
+      capture_random(s.traces, [&](std::size_t, const core::BatchInput& input,
+                                   core::EncryptionRun& run) {
+        if (window.end != SIZE_MAX && run.trace.size() < window.end) {
+          // The device halted inside the window (AES finishes in ~12k
+          // cycles, short of the 13000-cycle default).
+          throw SpecError(
+              s.id + ": window_end = " + std::to_string(s.window_end) +
+              " lies past the end of the run (" +
+              std::to_string(run.trace.size()) +
+              " traced cycles); set [campaign] window_end <= " +
+              std::to_string(run.trace.size()));
+        }
+        const aes::Block pt = aes_block_from_u64(input.plaintext);
+        std::vector<int> hypotheses(256);
+        for (int g = 0; g < 256; ++g) {
+          hypotheses[static_cast<std::size_t>(g)] =
+              std::popcount(static_cast<unsigned>(
+                  aes::sbox(static_cast<std::uint8_t>(pt[0] ^ g))));
+        }
+        cpa.add_trace(hypotheses, run.trace);
+      });
+      const analysis::GenericCpaResult result = cpa.solve();
+      r.metric = result.best_corr;
       r.best_guess = result.best_guess;
-      r.true_value = analysis::DpaAttack::true_subkey_chunk(s.key, cfg.sbox);
+      r.true_value = aes_key_from_u64(s.key)[0];
       r.success = r.best_guess == r.true_value;
       r.margin = result.margin();
-      write_guesses_csv(dir, result.peak_per_guess, "dom_peak_pj");
-      disclosure.write(dir);
-      break;
-    }
-    case Analysis::kCpa: {
-      if (s.cipher == Cipher::kDes) {
-        analysis::CpaConfig cfg;
-        cfg.window_begin = s.window_begin;
-        cfg.window_end = window_end;
-        analysis::CpaAttack cpa(cfg);
-        if (options_.backend != Backend::kScalar) {
-          cpa.set_provider(std::make_shared<bitslice::CpaProvider>(cfg.sbox));
-        }
-        DisclosureRecorder disclosure(s.traces);
-        open_trace_writer(s.traces);
-        runner.capture_each(s.traces, random_inputs,
-                            [&](std::size_t index,
-                                const core::BatchInput& input,
-                                core::EncryptionRun& run) {
-                              record_trace(input, run.trace);
-                              cpa.add_trace(input.plaintext, run.trace);
-                              disclosure.sample(index, [&] {
-                                return as_scores(cpa.solve().corr_per_guess);
-                              });
-                            });
-        fill_batch_stats(r, runner.stats());
-        const analysis::CpaResult result = cpa.solve();
-        r.metric = result.best_corr;
-        r.best_guess = result.best_guess;
-        r.true_value =
-            analysis::DpaAttack::true_subkey_chunk(s.key, cfg.sbox);
-        r.success = r.best_guess == r.true_value;
-        r.margin = result.margin();
-        write_guesses_csv(dir, result.corr_per_guess, "abs_rho");
-        disclosure.write(dir);
-      } else {
-        // AES: classic first-round CPA on the Hamming weight of
-        // sbox(pt[0] ^ guess), 256 guesses.
-        analysis::GenericCpa cpa(256, s.window_begin, window_end);
-        open_trace_writer(s.traces);
-        runner.capture_each(
-            s.traces, random_inputs,
-            [&](std::size_t, const core::BatchInput& input,
-                core::EncryptionRun& run) {
-              record_trace(input, run.trace);
-              const aes::Block pt = aes_block_from_u64(input.plaintext);
-              std::vector<int> hypotheses(256);
-              for (int g = 0; g < 256; ++g) {
-                hypotheses[static_cast<std::size_t>(g)] =
-                    std::popcount(static_cast<unsigned>(aes::sbox(
-                        static_cast<std::uint8_t>(pt[0] ^ g))));
-              }
-              cpa.add_trace(hypotheses, run.trace);
-            });
-        fill_batch_stats(r, runner.stats());
-        const analysis::GenericCpaResult result = cpa.solve();
-        r.metric = result.best_corr;
-        r.best_guess = result.best_guess;
-        r.true_value = aes_key_from_u64(s.key)[0];
-        r.success = r.best_guess == r.true_value;
-        r.margin = result.margin();
-        write_guesses_csv(dir, result.corr_per_guess, "abs_rho");
-      }
+      write_guesses_csv(dir, result.corr_per_guess, "abs_rho");
       break;
     }
     case Analysis::kTvla: {
@@ -685,24 +652,22 @@ ScenarioResult CampaignRunner::execute(const Scenario& s,
       // both with per-index measurement noise (distinct noise seeds, so
       // the fixed class is not one trace copied N times under noise).
       const std::size_t per_class = s.traces / 2;
-      analysis::TvlaAssessment tvla(s.window_begin, window_end);
+      analysis::TvlaAssessment tvla(window.begin, window.end);
       core::BatchConfig fixed_bc = bc;
       fixed_bc.noise_seed = bc.noise_seed ^ 0xF1DEF1DEull;
       core::BatchRunner fixed_runner(device, fixed_bc);
-      fixed_runner.capture_each(per_class, fixed_inputs,
-                                [&](std::size_t, const core::BatchInput&,
-                                    core::EncryptionRun& run) {
-                                  tvla.add_fixed(run.trace);
-                                });
+      fixed_runner.capture_each(
+          per_class,
+          [&s](std::size_t) -> core::BatchInput {
+            return {s.key, s.fixed_input};
+          },
+          [&](std::size_t, const core::BatchInput&,
+              core::EncryptionRun& run) { tvla.add_fixed(run.trace); });
       fill_batch_stats(r, fixed_runner.stats());
-      open_trace_writer(per_class);  // random class only
-      runner.capture_each(per_class, random_inputs,
-                          [&](std::size_t, const core::BatchInput& input,
-                              core::EncryptionRun& run) {
-                            record_trace(input, run.trace);
-                            tvla.add_random(run.trace);
-                          });
-      fill_batch_stats(r, runner.stats());
+      capture_random(per_class, [&](std::size_t, const core::BatchInput&,
+                                    core::EncryptionRun& run) {
+        tvla.add_random(run.trace);
+      });
       const analysis::TvlaResult result = tvla.solve();
       r.metric = result.max_abs_t;
       r.cycles_over_threshold = result.cycles_over_threshold;
@@ -719,20 +684,15 @@ ScenarioResult CampaignRunner::execute(const Scenario& s,
     case Analysis::kSecondOrder: {
       // Two passes over the same captured set: fit per-cycle means, then
       // DPA over centered-product combined traces.
-      open_trace_writer(s.traces);
       analysis::TraceSet set;
-      runner.capture_each(s.traces, random_inputs,
-                          [&](std::size_t, const core::BatchInput& input,
-                              core::EncryptionRun& run) {
-                            record_trace(input, run.trace);
-                            set.add(input.plaintext, std::move(run.trace));
-                          });
-      fill_batch_stats(r, runner.stats());
-      const std::size_t end =
-          window_end == SIZE_MAX && !set.traces.empty()
-              ? set.traces.front().size()
-              : window_end;
-      analysis::SecondOrderPreprocessor pre(s.window_begin, end,
+      capture_random(s.traces, [&](std::size_t, const core::BatchInput& input,
+                                   core::EncryptionRun& run) {
+        set.add(input.plaintext, std::move(run.trace));
+      });
+      const std::size_t end = window.end == SIZE_MAX && !set.traces.empty()
+                                  ? set.traces.front().size()
+                                  : window.end;
+      analysis::SecondOrderPreprocessor pre(window.begin, end,
                                             kSecondOrderMaxLag);
       for (const analysis::Trace& t : set.traces) pre.fit(t);
       analysis::DpaAttack dpa(analysis::DpaConfig{});  // combined layout
@@ -748,81 +708,43 @@ ScenarioResult CampaignRunner::execute(const Scenario& s,
       write_guesses_csv(dir, result.peak_per_guess, "dom_peak_pj");
       break;
     }
-    case Analysis::kMlpa: {
-      analysis::MlpaConfig cfg;
-      const core::SboxWindow w = sbox_window(cfg.sbox);
-      cfg.window_begin = w.valid() ? w.begin : s.window_begin;
-      cfg.window_end = w.valid() ? w.end : window_end;
-      analysis::MlpaAttack mlpa(cfg);
-      if (options_.backend != Backend::kScalar) {
-        std::vector<int> in_masks;
-        for (const analysis::LinearApprox& ap : mlpa.approximations()) {
-          in_masks.push_back(ap.in_mask);
-        }
-        mlpa.set_provider(std::make_shared<bitslice::MlpaProvider>(
-            cfg.sbox, std::move(in_masks)));
-      }
-      DisclosureRecorder disclosure(s.traces);
-      open_trace_writer(s.traces);
-      runner.capture_each(s.traces, random_inputs,
-                          [&](std::size_t index, const core::BatchInput& input,
-                              core::EncryptionRun& run) {
-                            record_trace(input, run.trace);
-                            mlpa.add_trace(input.plaintext, run.trace);
-                            disclosure.sample(index, [&] {
-                              return as_scores(mlpa.solve().score_per_guess);
-                            });
-                          });
-      fill_batch_stats(r, runner.stats());
-      const analysis::MlpaResult result = mlpa.solve();
-      r.metric = result.best_score;
-      r.best_guess = result.best_guess;
-      r.true_value = analysis::DpaAttack::true_subkey_chunk(s.key, cfg.sbox);
-      r.success = r.best_guess == r.true_value;
-      r.margin = result.margin();
-      write_guesses_csv(dir, result.score_per_guess, "mlpa_score");
-      disclosure.write(dir);
-      break;
-    }
-    case Analysis::kCollision: {
-      analysis::CollisionConfig cfg;
-      const core::SboxWindow w = sbox_window(cfg.sbox);
-      cfg.window_begin = w.valid() ? w.begin : s.window_begin;
-      cfg.window_end = w.valid() ? w.end : window_end;
-      analysis::CollisionAttack collision(cfg);
-      if (options_.backend != Backend::kScalar) {
-        collision.set_provider(
-            std::make_shared<bitslice::CollisionProvider>(cfg.sbox));
-      }
-      DisclosureRecorder disclosure(s.traces);
-      open_trace_writer(s.traces);
-      runner.capture_each(
-          s.traces, random_inputs,
-          [&](std::size_t index, const core::BatchInput& input,
-              core::EncryptionRun& run) {
-            record_trace(input, run.trace);
-            collision.add_trace(input.plaintext, run.trace);
-            disclosure.sample(index, [&] {
-              return as_scores(collision.solve().score_per_guess);
-            });
-          });
-      fill_batch_stats(r, runner.stats());
-      const analysis::CollisionResult result = collision.solve();
-      r.metric = result.best_score;
-      r.best_guess = result.best_guess;
-      r.true_value = analysis::DpaAttack::true_subkey_chunk(s.key, cfg.sbox);
-      r.success = r.best_guess == r.true_value;
-      r.margin = result.margin();
-      write_guesses_csv(dir, result.score_per_guess, "collision_score");
-      disclosure.write(dir);
-      break;
-    }
+    default:
+      throw SpecError("analysis '" + std::string(analysis_name(s.analysis)) +
+                      "' has no engine for cipher '" +
+                      std::string(cipher_name(s.cipher)) + "'");
   }
+  return r;
+}
 
-  if (trace_writer) {
-    if (trace_writer->written() == trace_writer_count) trace_writer->close();
-    trace_writer.reset();
+/// The progress line's verdict: what `success` means for the analysis.
+const char* verdict(Analysis a, bool success) {
+  switch (a) {
+    case Analysis::kEnergy:
+      return "";
+    case Analysis::kTvla:
+      return success ? ", no leak" : ", leaks";
+    default:
+      return success ? ", key recovered" : ", key not recovered";
   }
+}
+
+}  // namespace
+
+CampaignRunner::CampaignRunner(CampaignSpec spec, RunnerOptions options)
+    : spec_(std::move(spec)), options_(std::move(options)) {
+  if (options_.out_dir.empty()) {
+    throw SpecError("campaign runner needs an output directory");
+  }
+}
+
+ScenarioResult CampaignRunner::execute(const Scenario& s,
+                                       const std::string& dir) const {
+  const auto t0 = std::chrono::steady_clock::now();
+  const energy::TechParams params = s.tech_params(spec_.tech_overrides);
+  ScenarioResult r =
+      is_session_cipher(s.cipher)
+          ? run_session_scenario(spec_, options_, s, params, dir)
+          : run_block_scenario(spec_, options_, s, params, dir);
   r.wall_seconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - t0)
                        .count();
@@ -905,7 +827,7 @@ CampaignReport CampaignRunner::run() {
             position, scenarios.size(), s.id.c_str(),
             static_cast<unsigned long long>(outcome.result.encryptions),
             outcome.result.mean_uj(), outcome.result.metric,
-            outcome.result.success ? "" : " [FAILED]",
+            verdict(s.analysis, outcome.result.success),
             outcome.result.wall_seconds,
             static_cast<std::size_t>(outcome.result.threads_used));
       }

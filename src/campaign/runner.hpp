@@ -43,23 +43,6 @@
 
 namespace emask::campaign {
 
-/// Which hypothesis/energy implementation executes a campaign.  Results
-/// and every artifact are bit-identical across backends (enforced by
-/// tests); the choice only affects throughput, so it is a runner option
-/// (like --jobs), never a scenario axis, and is not recorded in the
-/// manifest.
-enum class Backend {
-  /// Bitsliced hypothesis providers + word-parallel energy kernels
-  /// honoring an EMASK_HAMMING_BACKEND env override (default).
-  kAuto,
-  /// Scalar hypothesis loops + scalar energy kernels.
-  kScalar,
-  /// Bitsliced everywhere, overriding the environment.
-  kBitslice,
-};
-
-[[nodiscard]] Backend backend_from_name(const std::string& name);
-
 struct RunnerOptions {
   std::string out_dir;
   /// Worker threads per scenario batch; 0 = hardware concurrency.
@@ -73,8 +56,6 @@ struct RunnerOptions {
   bool quiet = false;
   /// Partition of the scenario matrix this run executes (default: all).
   ShardSpec shard;
-  /// Hypothesis/energy backend (`--backend=scalar|bitslice`).
-  Backend backend = Backend::kAuto;
 };
 
 struct CampaignReport {

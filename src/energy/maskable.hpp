@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <cstdlib>
 
-#include "energy/kernels.hpp"
+#include "bitslice/hamming.hpp"
 #include "util/bitops.hpp"
 
 namespace emask::energy {
@@ -40,14 +40,16 @@ class MaskableBus {
 
   [[nodiscard]] double transfer(std::uint64_t value, bool secure) {
     // Up to 64 lines so the 33-bit instruction word (32-bit encoding plus
-    // the secure bit) rides the same model as the 32-bit buses.
+    // the secure bit) rides the same model as the 32-bit buses.  Coupling
+    // is off in the default TechParams; the [[unlikely]] branches keep the
+    // inlined coupling kernels out of the per-cycle hot path.
     const std::uint64_t mask =
         width_ >= 64 ? ~0ull : ((1ull << width_) - 1ull);
     value &= mask;
     if (secure) {
       last_ = mask;  // lines are pre-charged again after the evaluation
       double coupling = 0.0;
-      if (coupling_energy_ > 0.0) {
+      if (coupling_energy_ > 0.0) [[unlikely]] {
         // Dual-rail layout [d0, ~d0, d1, ~d1, ...]: during evaluation each
         // pair discharges exactly one line, so total switched capacitance
         // is constant — but WHICH line falls depends on the data.  Within
@@ -56,17 +58,17 @@ class MaskableBus {
         // which oppose each other exactly when d_i == d_{i+1}.  Coupling
         // therefore leaks the adjacent-bit-equality pattern even in secure
         // mode — the residual channel the paper warns about.
-        coupling = coupling_energy_ * energy::secure_opposing(value, width_);
+        coupling = coupling_energy_ * bitslice::secure_opposing(value, width_);
       }
       return line_energy_ * width_ + coupling;
     }
     const std::uint64_t rising = ~last_ & value;
     double coupling = 0.0;
-    if (coupling_energy_ > 0.0) {
+    if (coupling_energy_ > 0.0) [[unlikely]] {
       // delta_i in {-1, 0, +1}: falling, quiet, rising.  Each adjacent
       // pair pays in proportion to how differently its lines move.
       coupling =
-          coupling_energy_ * energy::coupling_events(last_, value, width_);
+          coupling_energy_ * bitslice::coupling_events(last_, value, width_);
     }
     last_ = value;
     return line_energy_ * std::popcount(rising) + coupling;
@@ -86,9 +88,9 @@ class MaskableBus {
     value &= mask;
     rand &= mask;
     double coupling = 0.0;
-    if (coupling_energy_ > 0.0) {
+    if (coupling_energy_ > 0.0) [[unlikely]] {
       coupling =
-          coupling_energy_ * energy::coupling_events(rand, value, width_);
+          coupling_energy_ * bitslice::coupling_events(rand, value, width_);
     }
     last_ = value;
     return line_energy_ * std::popcount(value ^ rand) + coupling;

@@ -1,5 +1,6 @@
 #include "session/session.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "des/des.hpp"
@@ -281,6 +282,8 @@ SessionResult SessionEngine::run(const std::vector<std::uint64_t>& blocks,
             sink(ev, r);
           }
         });
+    result.threads_used =
+        std::max(result.threads_used, runner.stats().threads_used);
     // Amortization math is snapshot-mode independent: the prefix length is
     // a property of the program, reused from the runner's snapshot when it
     // took one and measured once otherwise.  Non-fork-eligible devices

@@ -168,6 +168,7 @@ struct SessionResult {
   std::vector<std::uint64_t> output;  // ciphertext (encrypt) or plaintext
   std::vector<BlockResult> blocks;
   std::size_t stages = 1;        // DES passes per block actually simulated
+  std::size_t threads_used = 0;  // capture workers (BatchStats::threads_used)
   /// Amortization accounting, pure cycle math (schedule- and snapshot-mode
   /// independent).  A cold session pays the key-schedule prefix on every
   /// block of every stage; the hoisted session pays it once per stage.

@@ -1,17 +1,14 @@
 // Bitsliced backend equivalence: every sliced primitive, hypothesis
 // generator, and energy kernel is checked bit-for-bit against the scalar
-// path it replaces — the correctness story behind making bitslice the
-// default campaign backend.  Suites are prefixed "Bitslice" so the TSan CI
+// reference it replaced — the correctness story behind bitslice being the
+// only production path.  Suites are prefixed "Bitslice" so the TSan CI
 // job picks them up alongside the Adversary suites.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -24,11 +21,7 @@
 #include "bitslice/hamming.hpp"
 #include "bitslice/providers.hpp"
 #include "bitslice/slice.hpp"
-#include "campaign/runner.hpp"
-#include "campaign/spec.hpp"
 #include "des/des.hpp"
-#include "energy/kernels.hpp"
-#include "energy/maskable.hpp"
 #include "util/rng.hpp"
 
 namespace emask::bitslice {
@@ -258,67 +251,6 @@ TEST(BitsliceKernels, SecureOpposingMatchesScalar) {
   }
 }
 
-// Restores the process-wide energy kernel backend on scope exit.
-class BackendGuard {
- public:
-  BackendGuard() : saved_(energy::hamming_backend()) {}
-  ~BackendGuard() { energy::set_hamming_backend(saved_); }
-
- private:
-  energy::HammingBackend saved_;
-};
-
-TEST(BitsliceKernels, BusEnergiesIdenticalAcrossBackends) {
-  const BackendGuard guard;
-  util::Rng rng(0xB17D);
-  std::vector<std::uint64_t> values;
-  std::vector<bool> secure;
-  for (int i = 0; i < 500; ++i) {
-    values.push_back(rng.next_u64());
-    secure.push_back((rng.next_u32() & 3) == 0);
-  }
-  for (const int width : {32, 33}) {
-    auto capture = [&](energy::HammingBackend backend) {
-      energy::set_hamming_backend(backend);
-      energy::MaskableBus bus(width, 6.25e-12, 1.25e-12);  // coupling on
-      std::vector<double> energies;
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        energies.push_back(bus.transfer(values[i], secure[i]));
-      }
-      return energies;
-    };
-    const auto scalar = capture(energy::HammingBackend::kScalar);
-    const auto sliced = capture(energy::HammingBackend::kBitslice);
-    ASSERT_EQ(scalar.size(), sliced.size());
-    for (std::size_t i = 0; i < scalar.size(); ++i) {
-      // Exact equality: same integer event count times the same constant.
-      EXPECT_EQ(scalar[i], sliced[i]) << "width " << width << " step " << i;
-    }
-  }
-}
-
-TEST(BitsliceKernels, VerifyBackendAcceptsMatchingKernels) {
-  const BackendGuard guard;
-  energy::set_hamming_backend(energy::HammingBackend::kVerify);
-  util::Rng rng(0xB17E);
-  energy::MaskableBus bus(33, 6.25e-12, 1.25e-12);
-  for (int i = 0; i < 200; ++i) {
-    (void)bus.transfer(rng.next_u64(), (i & 7) == 0);  // aborts on mismatch
-  }
-  EXPECT_EQ(energy::hamming_backend(), energy::HammingBackend::kVerify);
-}
-
-TEST(BitsliceKernels, BackendNamesParse) {
-  EXPECT_EQ(energy::hamming_backend_from_name("scalar"),
-            energy::HammingBackend::kScalar);
-  EXPECT_EQ(energy::hamming_backend_from_name("bitslice"),
-            energy::HammingBackend::kBitslice);
-  EXPECT_EQ(energy::hamming_backend_from_name("verify"),
-            energy::HammingBackend::kVerify);
-  EXPECT_THROW((void)energy::hamming_backend_from_name("psychic"),
-               std::invalid_argument);
-}
-
 // ---- providers.hpp: attack-level equivalence ----
 
 // Feeds the identical (plaintext, trace) stream to a scalar attack and a
@@ -421,80 +353,6 @@ TEST(BitsliceProviders, CountMismatchIsRejected) {
   analysis::CollisionAttack collision(analysis::CollisionConfig{});
   EXPECT_THROW(collision.set_provider(std::make_shared<CpaProvider>(0)),
                std::invalid_argument);
-}
-
-// ---- whole-campaign byte-identity across backends and thread counts ----
-
-namespace fs = std::filesystem;
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-TEST(BitsliceCampaign, BackendsAreByteIdenticalAtAnyThreadCount) {
-  const BackendGuard guard;
-  const campaign::CampaignSpec spec = campaign::CampaignSpec::parse(
-      "[campaign]\n"
-      "name = backend_identity\n"
-      "[axes]\n"
-      "policy = original\n"
-      "analysis = dpa, cpa, mlpa, collision\n"
-      "traces = 4\n");
-  const fs::path base = fs::path(::testing::TempDir()) / "emask_backend_ident";
-  fs::remove_all(base);
-
-  struct Run {
-    const char* dir;
-    campaign::Backend backend;
-    std::size_t jobs;
-  };
-  const Run runs[] = {
-      {"scalar-j1", campaign::Backend::kScalar, 1},
-      {"bitslice-j2", campaign::Backend::kBitslice, 2},
-      {"bitslice-j8", campaign::Backend::kBitslice, 8},
-  };
-  for (const Run& run : runs) {
-    campaign::RunnerOptions options;
-    options.out_dir = (base / run.dir).string();
-    options.jobs = run.jobs;
-    options.quiet = true;
-    options.backend = run.backend;
-    EXPECT_TRUE(campaign::CampaignRunner(spec, options).run().complete)
-        << run.dir;
-  }
-
-  const fs::path reference = base / runs[0].dir;
-  for (int i = 1; i < 3; ++i) {
-    const fs::path other = base / runs[i].dir;
-    EXPECT_EQ(read_file(reference / "manifest.json"),
-              read_file(other / "manifest.json"))
-        << runs[i].dir;
-    EXPECT_EQ(read_file(reference / "summary.csv"),
-              read_file(other / "summary.csv"))
-        << runs[i].dir;
-    for (const auto& entry : fs::directory_iterator(reference / "scenarios")) {
-      for (const auto& file : fs::directory_iterator(entry.path())) {
-        const fs::path twin = other / "scenarios" / entry.path().filename() /
-                              file.path().filename();
-        EXPECT_EQ(read_file(file.path()), read_file(twin))
-            << "mismatch at " << twin;
-      }
-    }
-  }
-  fs::remove_all(base);
-}
-
-TEST(BitsliceCampaign, BackendNamesParse) {
-  EXPECT_EQ(campaign::backend_from_name("scalar"), campaign::Backend::kScalar);
-  EXPECT_EQ(campaign::backend_from_name("bitslice"),
-            campaign::Backend::kBitslice);
-  EXPECT_EQ(campaign::backend_from_name("auto"), campaign::Backend::kAuto);
-  EXPECT_THROW((void)campaign::backend_from_name("psychic"),
-               campaign::SpecError);
 }
 
 }  // namespace

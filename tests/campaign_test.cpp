@@ -621,6 +621,36 @@ TEST(Merge, MissingScenarioIsError) {
   EXPECT_THROW((void)merge_shards(f.options), SpecError);
 }
 
+TEST(Runner, AesCpaWindowPastTheRunIsSpecError) {
+  // AES halts at ~12k cycles, short of the default window_end = 13000: the
+  // run must stop with a SpecError that names the scenario, the window and
+  // the fix, not with the correlation engine's bare length error.
+  const CampaignSpec spec = CampaignSpec::parse(
+      "[campaign]\nname = aes_window\n[axes]\ncipher = aes\n"
+      "policy = original\nanalysis = cpa\ntraces = 2\n");
+  const fs::path dir = fs::path(::testing::TempDir()) / "emask_aes_window";
+  fs::remove_all(dir);
+  RunnerOptions options;
+  options.out_dir = dir.string();
+  options.jobs = 1;
+  options.quiet = true;
+  try {
+    (void)CampaignRunner(spec, options).run();
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("0000-aes-original-cpa-n0-t2-c0"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("window_end = 13000"), std::string::npos) << what;
+    EXPECT_NE(what.find("(12153 traced cycles)"), std::string::npos) << what;
+    EXPECT_NE(what.find("set [campaign] window_end <= 12153"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(fs::exists(dir / "manifest.json"));
+  fs::remove_all(dir);
+}
+
 TEST(Runner, RerunWithDifferentSpecInSameDirIsError) {
   const fs::path dir = fs::path(::testing::TempDir()) / "emask_guard_test";
   fs::remove_all(dir);

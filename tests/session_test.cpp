@@ -5,11 +5,13 @@
 // `ctest -R '^Session'`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/manifest.hpp"
@@ -17,6 +19,7 @@
 #include "campaign/spec.hpp"
 #include "des/des.hpp"
 #include "session/session.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace emask {
@@ -506,6 +509,34 @@ TEST(SessionCampaign, AttackDisclosureIsByteIdenticalAcrossJobs) {
     const auto other = scenario_files(dirs[1], artifact);
     ASSERT_EQ(other.size(), 1u);
     EXPECT_EQ(read_file(reference[0]), read_file(other[0]));
+  }
+  fs::remove_all(base);
+}
+
+TEST(SessionCampaign, TimingsReportTheWorkersActuallyUsed) {
+  // jobs = 0 means "every core", capped at the session length by the
+  // capture batches; timings.json must report that count, never 0.
+  const campaign::CampaignSpec spec = campaign::CampaignSpec::parse(
+      "[campaign]\nname = session_threads\n[axes]\n"
+      "policy = original\ncipher = des_cbc\nanalysis = energy\n"
+      "session_length = 4\n");
+  const fs::path base = fs::path(::testing::TempDir()) / "emask_sess_threads";
+  fs::remove_all(base);
+  const std::size_t cores =
+      std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
+  for (const std::size_t jobs : {0u, 2u}) {
+    campaign::RunnerOptions options;
+    options.out_dir = (base / ("j" + std::to_string(jobs))).string();
+    options.jobs = jobs;
+    options.quiet = true;
+    EXPECT_TRUE(campaign::CampaignRunner(spec, options).run().complete);
+    const util::JsonValue timings =
+        util::parse_json(read_file(fs::path(options.out_dir) / "timings.json"));
+    const std::size_t expected = jobs == 0 ? std::min<std::size_t>(cores, 4)
+                                           : jobs;
+    EXPECT_EQ(timings.at("scenarios").array.at(0).at("threads").as_u64(),
+              expected)
+        << "jobs " << jobs;
   }
   fs::remove_all(base);
 }

@@ -36,7 +36,6 @@ int run_command(int argc, char** argv) {
   std::string spec_path;
   std::string out_dir;
   std::string shard_text;
-  std::string backend_text;
   std::size_t jobs = 0;
   std::size_t limit = 0;
   bool resume = false;
@@ -55,9 +54,6 @@ int run_command(int argc, char** argv) {
                   "stop after K executed scenarios (controlled interrupt)");
   parser.opt_string("shard", &shard_text, "i/N",
                     "run only partition i of N (for distributed sweeps)");
-  parser.opt_string("backend", &backend_text, "NAME",
-                    "hypothesis/energy backend: auto, scalar, or bitslice "
-                    "(bit-identical results; default bitslice)");
   parser.flag("resume", &resume, "reuse checkpoints from a previous run");
   parser.flag("dry-run", &dry_run, "print the scenario matrix and exit");
   parser.flag("quiet", &quiet, "suppress per-scenario progress output");
@@ -80,9 +76,6 @@ int run_command(int argc, char** argv) {
     options.resume = resume;
     options.limit = limit;
     options.quiet = quiet;
-    if (!backend_text.empty()) {
-      options.backend = campaign::backend_from_name(backend_text);
-    }
     if (!shard_text.empty()) {
       options.shard = campaign::ShardSpec::parse(shard_text);
     }
