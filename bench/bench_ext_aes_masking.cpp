@@ -58,7 +58,7 @@ int main() {
   for (int p = 0; p < 4; ++p) {
     const auto pipeline =
         core::MaskingPipeline::from_source(source, policies[p]);
-    const auto run = pipeline.run_raw();
+    const auto run = pipeline.run({.image = &pipeline.program()});
     measured[p] = run.total_uj();
     std::printf("%-16s %12.3f %8.3f %9zu %8llu\n",
                 compiler::policy_name(policies[p]).data(), measured[p],
@@ -90,7 +90,8 @@ int main() {
       assembler::Program image = device.program();
       aes::poke_plaintext(image, pt);
       cpa.add_trace(hypotheses_for(pt, target_byte),
-                    device.run_image(image, w_end).trace);
+                    device.run({.image = &image, .stop_after_cycles = w_end})
+                        .trace);
     }
     return cpa.solve();
   };

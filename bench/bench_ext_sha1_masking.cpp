@@ -40,7 +40,7 @@ int main() {
   for (int p = 0; p < 4; ++p) {
     const auto pipeline =
         core::MaskingPipeline::from_source(source, policies[p]);
-    const auto run = pipeline.run_raw();
+    const auto run = pipeline.run({.image = &pipeline.program()});
     measured[p] = run.total_uj();
     std::printf("%-16s %12.3f %8.3f %9zu %8llu\n",
                 compiler::policy_name(policies[p]).data(), measured[p],
@@ -59,8 +59,8 @@ int main() {
   flipped[7] ^= 0x400u;
   assembler::Program image = masked.program();
   sha::poke_message(image, flipped);
-  const auto diff =
-      masked.run_raw().trace.difference(masked.run_image(image).trace);
+  const auto diff = masked.run({.image = &masked.program()})
+                        .trace.difference(masked.run({.image = &image}).trace);
   const auto body = diff.slice(0, diff.size() - 100);
 
   const double saving =

@@ -119,7 +119,7 @@ int main() {
 
   // SPA: one trace, read the bits from the per-iteration spacing.
   const auto starts = bench::label_fetch_cycles(v1.program(), "loop");
-  const auto run1 = v1.run_raw();
+  const auto run1 = v1.run({.image = &v1.program()});
   std::vector<std::uint64_t> lengths;
   for (std::size_t i = 0; i + 1 < starts.size(); ++i) {
     lengths.push_back(starts[i + 1] - starts[i]);
@@ -154,8 +154,8 @@ int main() {
         kernel_source(k, false), compiler::Policy::kOriginal);
     const auto p2 = core::MaskingPipeline::from_source(
         kernel_source(k, true), compiler::Policy::kOriginal);
-    const std::uint64_t c1 = p1.run_raw().sim.cycles;
-    const std::uint64_t c2 = p2.run_raw().sim.cycles;
+    const std::uint64_t c1 = p1.run({.image = &p1.program()}).sim.cycles;
+    const std::uint64_t c2 = p2.run({.image = &p2.program()}).sim.cycles;
     std::printf("%12d %12llu %12llu\n", std::popcount(k),
                 static_cast<unsigned long long>(c1),
                 static_cast<unsigned long long>(c2));
@@ -175,8 +175,8 @@ int main() {
   assembler::Program flipped = v2.program();
   flipped.poke_word(flipped.find_symbol("skey")->address, 1u ^
                     flipped.initial_word(flipped.find_symbol("skey")->address));
-  const auto d =
-      v2.run_raw().trace.difference(v2.run_image(flipped).trace);
+  const auto d = v2.run({.image = &v2.program()})
+                     .trace.difference(v2.run({.image = &flipped}).trace);
   std::printf("v2 masked key-bit differential: max |diff| = %.6f pJ\n",
               d.max_abs());
 

@@ -31,7 +31,7 @@ int main() {
   for (const auto b : golden) std::printf("%02x", b);
   std::printf("  [%s]\n", ct == golden ? "match" : "MISMATCH");
 
-  const auto run = masked.run_raw();
+  const auto run = masked.run({.image = &masked.program()});
   std::printf("energy: %.2f uJ over %llu cycles; %zu of %zu instructions "
               "secured by the forward slice\n",
               run.total_uj(),
@@ -57,7 +57,8 @@ int main() {
             static_cast<unsigned>(aes::sbox(static_cast<std::uint8_t>(
                 p[0] ^ g))));
       }
-      cpa.add_trace(h, device.run_image(image, 4000).trace);
+      cpa.add_trace(
+          h, device.run({.image = &image, .stop_after_cycles = 4000}).trace);
     }
     const auto r = cpa.solve();
     std::printf("  %-10s: best guess 0x%02X (true 0x%02X), |rho| = %.3f\n",

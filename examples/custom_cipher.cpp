@@ -86,11 +86,11 @@ int main() {
     std::printf("diagnostic: line %d: %s\n", d.source_line, d.message.c_str());
   }
 
-  const auto run = masked.run_raw();
+  const auto run = masked.run({.image = &masked.program()});
   std::printf("energy: %.3f uJ over %llu cycles (unmasked: %.3f uJ)\n",
               run.total_uj(),
               static_cast<unsigned long long>(run.sim.cycles),
-              original.run_raw().total_uj());
+              original.run({.image = &original.program()}).total_uj());
 
   // Differential check with a one-bit key change.  Poking the data image
   // directly plays the role of personalizing the card with a new key.
@@ -98,19 +98,13 @@ int main() {
     assembler::Program prog = p.program();
     const auto* key = prog.find_symbol("key");
     prog.poke_word(key->address, prog.initial_word(key->address) ^ 1u);
-    sim::Pipeline pipe(prog);
-    energy::ProcessorEnergyModel model(p.params());
-    analysis::Trace trace;
-    pipe.run([&](const energy::CycleActivity& a) {
-      trace.push(model.cycle(a) * 1e12);
-    });
-    return trace;
+    return p.run({.image = &prog}).trace;
   };
 
-  const auto d_orig =
-      original.run_raw().trace.difference(run_with_key_bit_flipped(original));
-  const auto d_mask =
-      masked.run_raw().trace.difference(run_with_key_bit_flipped(masked));
+  const auto d_orig = original.run({.image = &original.program()})
+                          .trace.difference(run_with_key_bit_flipped(original));
+  const auto d_mask = masked.run({.image = &masked.program()})
+                          .trace.difference(run_with_key_bit_flipped(masked));
   std::printf("key-bit differential, unmasked: max |diff| = %.2f pJ\n",
               d_orig.max_abs());
   std::printf("key-bit differential, masked  : max |diff| = %.2f pJ "

@@ -91,7 +91,7 @@ core::MaskingPipeline build_device(const Scenario& s,
                                const core::BatchInput& input) {
         assembler::Program image = device.program();
         aes::poke_plaintext(image, aes_block_from_u64(input.plaintext));
-        return device.run_image(image, stop);
+        return device.run({.image = &image, .stop_after_cycles = stop});
       };
       return core::MaskingPipeline::from_source(source, s.policy, params);
     }
@@ -102,7 +102,7 @@ core::MaskingPipeline build_device(const Scenario& s,
                                const core::BatchInput& input) {
         assembler::Program image = device.program();
         sha::poke_message(image, sha_block_from_u64(input.plaintext));
-        return device.run_image(image, stop);
+        return device.run({.image = &image, .stop_after_cycles = stop});
       };
       return core::MaskingPipeline::from_source(source, s.policy, params);
     }

@@ -78,7 +78,8 @@ void BatchRunner::capture_each(
 
   // Shared-prefix snapshot, captured once for the batch's first key.  Runs
   // with that key fork from it; any other key (and any budget ending at or
-  // before the fork point — run_des_from falls back itself) cold-starts.
+  // before the fork point — MaskingPipeline::run falls back itself)
+  // cold-starts.
   // Workers only read the snapshot; memory forks copy-on-write.
   std::optional<DesSnapshot> snap;
   if (count > 0 && !config_.run_function &&
@@ -105,16 +106,14 @@ void BatchRunner::capture_each(
     EncryptionRun run =
         config_.run_function
             ? config_.run_function(device, input)
-        : (snap.has_value() && input.key == snap->key)
-            ? (chained ? device.run_des_cbc_from(*snap, input.plaintext,
-                                                 input.iv,
-                                                 config_.stop_after_cycles)
-                       : device.run_des_from(*snap, input.plaintext,
-                                             config_.stop_after_cycles))
-        : (chained ? device.run_des_cbc(input.key, input.plaintext, input.iv,
-                                        config_.stop_after_cycles)
-                   : device.run_des(input.key, input.plaintext,
-                                    config_.stop_after_cycles));
+            : device.run(
+                  {.key = input.key,
+                   .plaintext = input.plaintext,
+                   .iv = chained ? std::optional(input.iv) : std::nullopt,
+                   .stop_after_cycles = config_.stop_after_cycles,
+                   .from = snap.has_value() && input.key == snap->key
+                               ? &*snap
+                               : nullptr});
     if (config_.noise_sigma_pj > 0.0) {
       analysis::NoiseModel noise(config_.noise_sigma_pj,
                                  util::Rng::nth(config_.noise_seed, index));

@@ -65,9 +65,10 @@ using InputGenerator = std::function<BatchInput(std::size_t)>;
 
 /// Custom per-encryption run: lets a batch drive non-DES workloads (poke
 /// an AES plaintext or SHA-1 message block into an image copy, then
-/// run_image).  Must be a pure function of (device, input) and thread-safe
-/// — the determinism contract extends to it.  Measurement noise is still
-/// applied by the runner on top of the returned trace.
+/// MaskingPipeline::run with RunRequest::image).  Must be a pure function
+/// of (device, input) and thread-safe — the determinism contract extends
+/// to it.  Measurement noise is still applied by the runner on top of the
+/// returned trace.
 using RunFunction =
     std::function<EncryptionRun(const MaskingPipeline&, const BatchInput&)>;
 
@@ -101,8 +102,8 @@ struct BatchConfig {
   /// Reorder-window slots per worker (bounds resident traces during
   /// streaming capture).
   std::size_t window_per_thread = 4;
-  /// Null = DES: device.run_des(input.key, input.plaintext,
-  /// stop_after_cycles).  Non-null overrides the whole simulation step
+  /// Null = DES: device.run with the input's key, plaintext (and iv) and
+  /// stop_after_cycles.  Non-null overrides the whole simulation step
   /// (stop_after_cycles is then the run function's business) and bypasses
   /// snapshotting — the runner cannot know what a custom run reads before
   /// the fork point.

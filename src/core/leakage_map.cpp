@@ -5,7 +5,6 @@
 #include <map>
 
 #include "analysis/tvla.hpp"
-#include "des/asm_generator.hpp"
 #include "util/rng.hpp"
 
 namespace emask::core {
@@ -23,17 +22,16 @@ LeakageMap localize_des_leakage(const MaskingPipeline& pipeline,
   }
   const analysis::TvlaResult t = tvla.solve();
 
-  // One instrumented run records which instruction retires at each cycle.
-  assembler::Program image = pipeline.program();
-  des::poke_key(image, fixed_key);
-  des::poke_plaintext(image, fixed_plaintext);
-  sim::Pipeline machine(image, pipeline.sim_config());
+  // One instrumented fixed-class run records which instruction retires at
+  // each cycle (same inputs, so the same shuffle_nop schedule).
   std::vector<std::int64_t> retire_at_cycle;  // -1 = bubble
-  energy::CycleActivity a;
-  while (machine.step(a)) {
-    retire_at_cycle.push_back(a.retired ? static_cast<std::int64_t>(a.retire_pc)
-                                        : -1);
-  }
+  (void)pipeline.run(
+      {.key = fixed_key,
+       .plaintext = fixed_plaintext,
+       .observer = [&](const energy::CycleActivity& a, double) {
+         retire_at_cycle.push_back(
+             a.retired ? static_cast<std::int64_t>(a.retire_pc) : -1);
+       }});
 
   // Aggregate leaking cycles per source line.
   struct Agg {

@@ -9,32 +9,25 @@
 namespace emask::core {
 namespace {
 
-/// Steps `pipeline` to halt (stop_after_cycles == 0) or until that many
-/// cycles have run, appending one pJ sample per clock to `run.trace`; a
-/// completed DES run also gets its cipher.
-void drive(sim::Pipeline& pipeline, const assembler::Program& program,
-           energy::ProcessorEnergyModel& model,
-           std::uint64_t stop_after_cycles, EncryptionRun& run) {
-  if (stop_after_cycles == 0) {
-    run.sim = pipeline.run([&](const energy::CycleActivity& activity) {
-      run.trace.push(model.cycle(activity) * 1e12);  // J -> pJ
-    });
-    // The DES convention: a 64-bit-per-word "cipher" symbol.  Other
-    // workloads (AES, SHA-1) expose their outputs through their own
-    // read_* helpers.
-    const assembler::DataSymbol* cipher = program.find_symbol("cipher");
-    if (cipher != nullptr && cipher->size_bytes >= 64 * 4) {
-      run.cipher = des::read_cipher(pipeline.memory(), program);
-    }
-  } else {
-    run.trace.reserve(stop_after_cycles);
-    energy::CycleActivity activity;
-    while (pipeline.cycles() < stop_after_cycles && pipeline.step(activity)) {
-      run.trace.push(model.cycle(activity) * 1e12);
-    }
-    run.sim = pipeline.result();
+/// The one step loop: runs `pipeline` to halt (stop == 0, under the
+/// simulator's cycle budget) or until `stop` cycles have run, appending
+/// one pJ sample per clock to `trace`.  `tap(activity, pj)` sees every
+/// sample; on a truncated run it returning true ends the run early.
+template <typename Tap>
+sim::SimResult drive(sim::Pipeline& pipeline,
+                     energy::ProcessorEnergyModel& model, std::uint64_t stop,
+                     analysis::Trace& trace, Tap&& tap) {
+  const auto sample = [&](const energy::CycleActivity& activity) {
+    const double pj = model.cycle(activity) * 1e12;  // J -> pJ
+    trace.push(pj);
+    return tap(activity, pj);
+  };
+  if (stop == 0) return pipeline.run(sample);
+  energy::CycleActivity activity;
+  while (pipeline.cycles() < stop && pipeline.step(activity)) {
+    if (sample(activity)) break;
   }
-  run.breakdown = model.breakdown();
+  return pipeline.result();
 }
 
 }  // namespace
@@ -101,47 +94,89 @@ energy::HidingConfig MaskingPipeline::hiding_config(
   return cfg;
 }
 
-EncryptionRun MaskingPipeline::simulate(
-    const assembler::Program& program, std::uint64_t stop_after_cycles) const {
-  sim::Pipeline pipeline(program, sim_config_);
-  energy::ProcessorEnergyModel model(params_, hiding_config(0));
-  EncryptionRun run;
-  drive(pipeline, program, model, stop_after_cycles, run);
-  return run;
-}
-
-EncryptionRun MaskingPipeline::cold_des(const std::uint64_t* iv,
-                                        std::uint64_t key,
-                                        std::uint64_t plaintext,
-                                        std::uint64_t stop_after_cycles) const {
-  // Inputs go straight into the fresh machine's memory, as a fork pokes
-  // them, so no per-run copy of the program is made.
-  const assembler::Program& program = masked_.program;
-  sim::Pipeline pipeline(program, sim_config_);
-  des::poke_key(pipeline.memory(), program, key);
-  des::poke_plaintext(pipeline.memory(), program, plaintext);
-  if (iv != nullptr) des::poke_iv(pipeline.memory(), program, *iv);
-  const std::uint64_t run_seed = run_hiding_seed(plaintext);
-  if (policy_.hiding == hiding::HidingPolicy::kShuffleNop) {
-    des::poke_nop_schedule(pipeline.memory(), program,
-                           shuffle_schedule(run_seed));
+EncryptionRun MaskingPipeline::run(const RunRequest& request) const {
+  const std::uint64_t stop = request.stop_after_cycles;
+  if (request.from != nullptr) {
+    if (request.image != nullptr || request.observer) {
+      throw std::invalid_argument(
+          "run: image and observed runs are cold; they cannot fork from a "
+          "snapshot");
+    }
+    if (request.from->machine.text_size != masked_.program.text.size()) {
+      throw std::invalid_argument(
+          "run_des_from: snapshot was captured from a different program");
+    }
+    if (request.from->key != request.key) {
+      throw std::invalid_argument(
+          "run: request key differs from the snapshot's key");
+    }
   }
-  energy::ProcessorEnergyModel model(params_, hiding_config(run_seed));
+  // A budget ending at or before the fork point cannot reuse the captured
+  // prefix without overrunning it — fall back to a cold start so the
+  // emitted trace is never longer than requested.
+  const DesSnapshot* from =
+      request.from != nullptr && (stop == 0 || stop > request.from->fork_cycle)
+          ? request.from
+          : nullptr;
+
+  const assembler::Program& program =
+      from != nullptr            ? from->program
+      : request.image != nullptr ? *request.image
+                                 : masked_.program;
+  sim::Pipeline pipeline = from != nullptr
+                               ? sim::Pipeline(program, from->machine)
+                               : sim::Pipeline(program, sim_config_);
+  // Image runs keep their data image as-is; DES inputs go straight into
+  // the machine's memory, so no per-run copy of the program is made.
+  const std::uint64_t run_seed =
+      request.image != nullptr ? 0 : run_hiding_seed(request.plaintext);
+  if (request.image == nullptr) {
+    if (from == nullptr) des::poke_key(pipeline.memory(), program, request.key);
+    des::poke_plaintext(pipeline.memory(), program, request.plaintext);
+    if (request.iv) des::poke_iv(pipeline.memory(), program, *request.iv);
+    if (policy_.hiding == hiding::HidingPolicy::kShuffleNop) {
+      // The nop_tab slots are first read after the fork marker, so a forked
+      // run draws the same per-plaintext schedule a cold run does.
+      des::poke_nop_schedule(pipeline.memory(), program,
+                             shuffle_schedule(run_seed));
+    }
+  }
+  energy::ProcessorEnergyModel model =
+      from != nullptr
+          ? from->model  // resume mid-trace
+          : energy::ProcessorEnergyModel(params_, hiding_config(run_seed));
+
   EncryptionRun run;
-  drive(pipeline, program, model, stop_after_cycles, run);
+  if (from != nullptr) {
+    // The hoisted DES shape spends ~40% of its cycles before the fork
+    // marker, so three prefixes hold the whole trace in one allocation.
+    // Regrowing a copied prefix twice per fork churns the worker threads'
+    // malloc arenas and measurably raises a forked batch's peak memory.
+    run.trace.reserve(3 * from->prefix.size());
+    for (const double pj : from->prefix.samples()) {
+      run.trace.push(pj);  // splice the shared prefix in front
+    }
+  }
+  run.trace.reserve(stop);  // exact for truncated runs
+  if (request.observer) {
+    run.sim = drive(pipeline, model, stop, run.trace,
+                    [&](const energy::CycleActivity& activity, double pj) {
+                      request.observer(activity, pj);
+                      return false;
+                    });
+  } else {
+    run.sim = drive(pipeline, model, stop, run.trace,
+                    [](const energy::CycleActivity&, double) { return false; });
+  }
+  // The DES convention: a 64-bit-per-word "cipher" symbol.  Other
+  // workloads (AES, SHA-1) expose their outputs through their own read_*
+  // helpers.
+  const assembler::DataSymbol* cipher = program.find_symbol("cipher");
+  if (stop == 0 && cipher != nullptr && cipher->size_bytes >= 64 * 4) {
+    run.cipher = des::read_cipher(pipeline.memory(), program);
+  }
+  run.breakdown = model.breakdown();
   return run;
-}
-
-EncryptionRun MaskingPipeline::run_des(std::uint64_t key,
-                                       std::uint64_t plaintext,
-                                       std::uint64_t stop_after_cycles) const {
-  return cold_des(nullptr, key, plaintext, stop_after_cycles);
-}
-
-EncryptionRun MaskingPipeline::run_des_cbc(
-    std::uint64_t key, std::uint64_t plaintext, std::uint64_t iv,
-    std::uint64_t stop_after_cycles) const {
-  return cold_des(&iv, key, plaintext, stop_after_cycles);
 }
 
 DesSnapshot MaskingPipeline::snapshot_des(std::uint64_t key) const {
@@ -167,22 +202,17 @@ DesSnapshot MaskingPipeline::snapshot_des(std::uint64_t key) const {
   // per-run hiding stream; wddl's constant mode is stateless and safe.
   energy::ProcessorEnergyModel model(params_, hiding_config(0));
   analysis::Trace prefix;
-  energy::CycleActivity activity;
   bool reached = false;
-  while (pipeline.step(activity)) {
-    prefix.push(model.cycle(activity) * 1e12);  // J -> pJ
-    if (activity.retired && activity.retire_pc == fork_pc) {
-      reached = true;
-      break;
-    }
-    if (pipeline.cycles() >= sim_config_.max_cycles) {
-      throw std::runtime_error(
-          "snapshot_des: fork marker not retired within the cycle budget");
-    }
-  }
+  (void)drive(pipeline, model, sim_config_.max_cycles, prefix,
+              [&](const energy::CycleActivity& activity, double) {
+                reached = activity.retired && activity.retire_pc == fork_pc;
+                return reached;
+              });
   if (!reached) {
     throw std::runtime_error(
-        "snapshot_des: program halted before the fork marker retired");
+        pipeline.cycles() >= sim_config_.max_cycles
+            ? "snapshot_des: fork marker not retired within the cycle budget"
+            : "snapshot_des: program halted before the fork marker retired");
   }
   // Capture before moving `program` out: Pipeline::snapshot() reads the
   // program it references, and braced-init evaluates left to right.
@@ -190,61 +220,6 @@ DesSnapshot MaskingPipeline::snapshot_des(std::uint64_t key) const {
   const std::uint64_t fork_cycle = pipeline.cycles();
   return DesSnapshot{std::move(program), std::move(machine), std::move(model),
                      std::move(prefix), key, fork_cycle};
-}
-
-EncryptionRun MaskingPipeline::run_des_from(
-    const DesSnapshot& snapshot, std::uint64_t plaintext,
-    std::uint64_t stop_after_cycles) const {
-  return forked_des(snapshot, nullptr, plaintext, stop_after_cycles);
-}
-
-EncryptionRun MaskingPipeline::run_des_cbc_from(
-    const DesSnapshot& snapshot, std::uint64_t plaintext, std::uint64_t iv,
-    std::uint64_t stop_after_cycles) const {
-  return forked_des(snapshot, &iv, plaintext, stop_after_cycles);
-}
-
-EncryptionRun MaskingPipeline::forked_des(
-    const DesSnapshot& snapshot, const std::uint64_t* iv,
-    std::uint64_t plaintext, std::uint64_t stop_after_cycles) const {
-  // A budget ending at or before the fork point cannot reuse the captured
-  // prefix without overrunning it — fall back to a cold start so the
-  // emitted trace is never longer than requested.
-  if (stop_after_cycles != 0 && stop_after_cycles <= snapshot.fork_cycle) {
-    return cold_des(iv, snapshot.key, plaintext, stop_after_cycles);
-  }
-  if (snapshot.machine.text_size != masked_.program.text.size()) {
-    throw std::invalid_argument(
-        "run_des_from: snapshot was captured from a different program");
-  }
-  sim::Pipeline pipeline(snapshot.program, snapshot.machine);
-  des::poke_plaintext(pipeline.memory(), snapshot.program, plaintext);
-  if (iv != nullptr) des::poke_iv(pipeline.memory(), snapshot.program, *iv);
-  if (policy_.hiding == hiding::HidingPolicy::kShuffleNop) {
-    // The nop_tab slots are first read after the fork marker, so a forked
-    // run can draw the same per-plaintext schedule a cold run would.
-    des::poke_nop_schedule(pipeline.memory(), snapshot.program,
-                           shuffle_schedule(run_hiding_seed(plaintext)));
-  }
-  energy::ProcessorEnergyModel model = snapshot.model;  // resume mid-trace
-  EncryptionRun run;
-  // The hoisted DES shape spends ~40% of its cycles before the fork
-  // marker, so three prefixes hold the whole trace in one allocation.
-  // Regrowing a copied prefix twice per fork churns the worker threads'
-  // malloc arenas and measurably raises a forked batch's peak memory.
-  run.trace.reserve(3 * snapshot.prefix.size());
-  for (const double pj : snapshot.prefix.samples()) {
-    run.trace.push(pj);  // splice the shared prefix in front
-  }
-  drive(pipeline, snapshot.program, model, stop_after_cycles, run);
-  return run;
-}
-
-EncryptionRun MaskingPipeline::run_raw() const { return simulate(masked_.program); }
-
-EncryptionRun MaskingPipeline::run_image(const assembler::Program& image,
-                                         std::uint64_t stop_after_cycles) const {
-  return simulate(image, stop_after_cycles);
 }
 
 }  // namespace emask::core

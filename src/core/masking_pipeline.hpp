@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,6 +54,31 @@ struct DesSnapshot {
   std::uint64_t fork_cycle = 0;  // cycle count at capture
 };
 
+/// One simulated run, described by parameters: what runs (an image, or DES
+/// inputs poked into a fresh machine), where it stops, whether it forks
+/// from a snapshot, and who watches each cycle.  Every run path goes
+/// through MaskingPipeline::run, so the device's hiding configuration
+/// applies the same way to all of them.
+struct RunRequest {
+  /// A patched copy of this pipeline's program(), run as-is with the
+  /// image-run hiding seed (0) and no input pokes.  When null, the run is
+  /// a DES encryption of the fields below.
+  const assembler::Program* image = nullptr;
+  std::uint64_t key = 0;
+  std::uint64_t plaintext = 0;
+  /// CBC chaining value, for cbc_chain programs (`iv` symbol).
+  std::optional<std::uint64_t> iv{};
+  /// Truncates the simulation (0 = run to halt); a truncated run reports
+  /// cipher = 0.
+  std::uint64_t stop_after_cycles = 0;
+  /// Forks the DES run from this snapshot (its key must match `key`).  A
+  /// budget ending at or before the fork point falls back to a cold start.
+  const DesSnapshot* from = nullptr;
+  /// Called after every cycle with its activity and energy (pJ).  Observed
+  /// runs are cold: combining an observer with `from` throws.
+  std::function<void(const energy::CycleActivity&, double pj)> observer{};
+};
+
 class MaskingPipeline {
  public:
   /// Builds the DES program and applies `policy` — a masking policy, a
@@ -70,31 +97,37 @@ class MaskingPipeline {
       const std::string& source, const hiding::Countermeasure& policy,
       const energy::TechParams& params = energy::TechParams::smartcard_025um());
 
+  /// The run primitive: simulates `request` (see RunRequest) and returns
+  /// its trace, breakdown, counters and — for a DES run to halt — cipher.
+  /// Throws std::invalid_argument on a request that mixes an image or an
+  /// observer with a snapshot, or a snapshot from another program or key.
+  [[nodiscard]] EncryptionRun run(const RunRequest& request) const;
+
   /// Simulates one DES encryption: pokes `key`/`plaintext` into the data
-  /// image, runs to halt, returns the trace and the ciphertext.
-  ///
-  /// `stop_after_cycles` truncates the simulation (0 = run to halt): an
-  /// attacker capturing only the first round does not need to pay for the
-  /// remaining fifteen.  A truncated run reports cipher = 0.
-  [[nodiscard]] EncryptionRun run_des(std::uint64_t key,
-                                      std::uint64_t plaintext,
-                                      std::uint64_t stop_after_cycles = 0) const;
+  /// image, runs to halt (or `stop_after_cycles`), returns the trace and
+  /// the ciphertext.
+  [[nodiscard]] EncryptionRun run_des(
+      std::uint64_t key, std::uint64_t plaintext,
+      std::uint64_t stop_after_cycles = 0) const {
+    return run({.key = key, .plaintext = plaintext,
+                .stop_after_cycles = stop_after_cycles});
+  }
 
   /// run_des for a CBC-chained program (DesAsmOptions::cbc_chain): also
   /// pokes the chaining value into the `iv` symbol.  Throws
   /// std::invalid_argument when the program has no `iv` symbol.
   [[nodiscard]] EncryptionRun run_des_cbc(
       std::uint64_t key, std::uint64_t plaintext, std::uint64_t iv,
-      std::uint64_t stop_after_cycles = 0) const;
+      std::uint64_t stop_after_cycles = 0) const {
+    return run({.key = key, .plaintext = plaintext, .iv = iv,
+                .stop_after_cycles = stop_after_cycles});
+  }
 
   /// True when the compiled program carries the cbc_chain `iv` symbol —
   /// its runs must go through run_des_cbc / run_des_cbc_from.
   [[nodiscard]] bool has_iv() const {
     return des::has_iv_symbol(masked_.program);
   }
-
-  /// Simulates the program as-is (non-DES sources).
-  [[nodiscard]] EncryptionRun run_raw() const;
 
   /// True when the compiled program declares a `fork` marker (the DES
   /// generator emits one under DesAsmOptions::hoist_key_schedule).
@@ -116,29 +149,24 @@ class MaskingPipeline {
   /// it halts (or exhausts the cycle budget) before reaching it.
   [[nodiscard]] DesSnapshot snapshot_des(std::uint64_t key) const;
 
-  /// Forks one encryption from a snapshot: pokes `plaintext` into the
-  /// forked memory, resumes at the fork point, and returns a run whose
-  /// trace, sim counters, breakdown, and cipher are bit-identical to
-  /// run_des(snapshot.key, plaintext, stop_after_cycles).  A budget that
-  /// ends at or before the fork point falls back to a cold start, so the
-  /// trace is never longer than requested.
-  [[nodiscard]] EncryptionRun run_des_from(const DesSnapshot& snapshot,
-                                           std::uint64_t plaintext,
-                                           std::uint64_t stop_after_cycles = 0) const;
+  /// Forks one encryption from a snapshot: a run whose trace, sim
+  /// counters, breakdown, and cipher are bit-identical to
+  /// run_des(snapshot.key, plaintext, stop_after_cycles).
+  [[nodiscard]] EncryptionRun run_des_from(
+      const DesSnapshot& snapshot, std::uint64_t plaintext,
+      std::uint64_t stop_after_cycles = 0) const {
+    return run({.key = snapshot.key, .plaintext = plaintext,
+                .stop_after_cycles = stop_after_cycles, .from = &snapshot});
+  }
 
-  /// run_des_from for a CBC-chained program: pokes both the plaintext and
-  /// the chaining value into the forked memory (both symbols are first read
-  /// after the fork marker).  Bit-identical to the corresponding
-  /// run_des_cbc cold start.
+  /// run_des_from for a CBC-chained program (the plaintext and chaining
+  /// value are both first read after the fork marker).
   [[nodiscard]] EncryptionRun run_des_cbc_from(
       const DesSnapshot& snapshot, std::uint64_t plaintext, std::uint64_t iv,
-      std::uint64_t stop_after_cycles = 0) const;
-
-  /// Simulates an externally patched copy of the compiled program (e.g.
-  /// after poking a new SHA-1 message block into its data image).  The
-  /// image must come from this pipeline's program().
-  [[nodiscard]] EncryptionRun run_image(const assembler::Program& image,
-                                        std::uint64_t stop_after_cycles = 0) const;
+      std::uint64_t stop_after_cycles = 0) const {
+    return run({.key = snapshot.key, .plaintext = plaintext, .iv = iv,
+                .stop_after_cycles = stop_after_cycles, .from = &snapshot});
+  }
 
   [[nodiscard]] const assembler::Program& program() const {
     return masked_.program;
@@ -183,18 +211,6 @@ class MaskingPipeline {
 
   [[nodiscard]] energy::HidingConfig hiding_config(
       std::uint64_t run_seed) const;
-
-  [[nodiscard]] EncryptionRun simulate(const assembler::Program& program,
-                                       std::uint64_t stop_after_cycles = 0) const;
-
-  [[nodiscard]] EncryptionRun cold_des(const std::uint64_t* iv,
-                                       std::uint64_t key,
-                                       std::uint64_t plaintext,
-                                       std::uint64_t stop_after_cycles) const;
-  [[nodiscard]] EncryptionRun forked_des(const DesSnapshot& snapshot,
-                                         const std::uint64_t* iv,
-                                         std::uint64_t plaintext,
-                                         std::uint64_t stop_after_cycles) const;
 
   compiler::MaskResult masked_;
   hiding::Countermeasure policy_;

@@ -8,12 +8,13 @@
 namespace emask::core {
 
 std::vector<PhaseEnergy> profile_phases(const MaskingPipeline& pipeline,
-                                        const assembler::Program& image) {
+                                        const RunRequest& request) {
   // Build the phase table from the text labels, ordered by address.
+  const assembler::Program& program = pipeline.program();
   std::vector<PhaseEnergy> phases;
   {
     std::map<std::uint32_t, std::string> by_index;
-    for (const auto& [label, index] : image.text_labels) {
+    for (const auto& [label, index] : program.text_labels) {
       // Keep the first label at each index (multiple labels may alias).
       by_index.emplace(index, label);
     }
@@ -27,7 +28,7 @@ std::vector<PhaseEnergy> profile_phases(const MaskingPipeline& pipeline,
       const auto next = std::next(it);
       phase.end = next != by_index.end()
                       ? next->first
-                      : static_cast<std::uint32_t>(image.text.size());
+                      : static_cast<std::uint32_t>(program.text.size());
       phases.push_back(std::move(phase));
     }
   }
@@ -38,17 +39,14 @@ std::vector<PhaseEnergy> profile_phases(const MaskingPipeline& pipeline,
     return *(it == phases.begin() ? it : std::prev(it));
   };
 
-  sim::Pipeline machine(image, pipeline.sim_config());
-  energy::ProcessorEnergyModel model(pipeline.params());
-  energy::CycleActivity a;
   PhaseEnergy* current = &phases.front();
-  while (!machine.halted()) {
-    machine.step(a);
-    const double joules = model.cycle(a);
+  RunRequest observed = request;
+  observed.observer = [&](const energy::CycleActivity& a, double pj) {
     if (a.retired) current = &phase_of(a.retire_pc);
     current->cycles += 1;
-    current->energy_uj += joules * 1e6;
-  }
+    current->energy_uj += pj * 1e-6;
+  };
+  (void)pipeline.run(observed);
   return phases;
 }
 

@@ -27,11 +27,13 @@ struct PhaseEnergy {
   }
 };
 
-/// Profiles one run of `image` (an instance of pipeline.program()) and
-/// returns per-phase totals, ordered by first instruction index.  Bubble
-/// and stall cycles attribute to the phase of the most recent retirement.
+/// Profiles `pipeline.run(request)` (a cold run; the profile takes the
+/// request's observer slot) and returns per-phase totals, ordered by first
+/// instruction index.  Bubble and stall cycles attribute to the phase of the
+/// most recent retirement.  The totals are the run's own: the phase cycles
+/// sum to its sim.cycles and the phase energy to its total_uj().
 [[nodiscard]] std::vector<PhaseEnergy> profile_phases(
-    const MaskingPipeline& pipeline, const assembler::Program& image);
+    const MaskingPipeline& pipeline, const RunRequest& request);
 
 /// Round-1 cycle window [begin, end) of one DES S-box (0..7), located via
 /// the retire cycles of the assembly generator's `sbox_loop` /

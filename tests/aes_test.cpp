@@ -142,8 +142,8 @@ TEST(AesOnPipeline, MaskingFlattensKeyDifferential) {
   key2[5] ^= 0x20;
   assembler::Program image2 = masked.program();
   poke_key(image2, key2);
-  const auto d =
-      masked.run_raw().trace.difference(masked.run_image(image2).trace);
+  const auto d = masked.run({.image = &masked.program()})
+                     .trace.difference(masked.run({.image = &image2}).trace);
   // Flat everywhere except the final output loop (public ciphertext).
   const auto body = d.slice(0, d.size() - 400);
   EXPECT_EQ(body.max_abs(), 0.0);
@@ -153,7 +153,8 @@ TEST(AesOnPipeline, MaskingFlattensKeyDifferential) {
   assembler::Program image2o = original.program();
   poke_key(image2o, key2);
   const auto d_orig =
-      original.run_raw().trace.difference(original.run_image(image2o).trace);
+      original.run({.image = &original.program()})
+          .trace.difference(original.run({.image = &image2o}).trace);
   EXPECT_GT(d_orig.slice(0, d_orig.size() - 400).max_abs(), 0.0);
 }
 

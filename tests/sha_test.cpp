@@ -62,7 +62,7 @@ TEST_P(ShaPolicyTest, CorrectUnderEveryPolicy) {
   const auto block = random_block(rng);
   const auto pipeline = core::MaskingPipeline::from_source(
       generate_sha1_asm(block), GetParam());
-  const auto run = pipeline.run_raw();
+  const auto run = pipeline.run({.image = &pipeline.program()});
   EXPECT_TRUE(run.sim.halted);
   sim::Pipeline machine(pipeline.program());
   machine.run();
@@ -109,8 +109,8 @@ TEST(Sha1OnPipeline, MaskingFlattensMessageDifferential) {
       generate_sha1_asm(block1), compiler::Policy::kSelective);
   assembler::Program image2 = masked.program();
   poke_message(image2, block2);
-  const auto d = masked.run_raw().trace.difference(
-      masked.run_image(image2).trace);
+  const auto d = masked.run({.image = &masked.program()}).trace.difference(
+      masked.run({.image = &image2}).trace);
   // Everything up to the declassified digest store is flat.
   const auto body = d.slice(0, d.size() - 100);
   EXPECT_EQ(body.max_abs(), 0.0);
@@ -119,8 +119,9 @@ TEST(Sha1OnPipeline, MaskingFlattensMessageDifferential) {
       generate_sha1_asm(block1), compiler::Policy::kOriginal);
   assembler::Program image2o = original.program();
   poke_message(image2o, block2);
-  const auto d_orig = original.run_raw().trace.difference(
-      original.run_image(image2o).trace);
+  const auto d_orig =
+      original.run({.image = &original.program()})
+          .trace.difference(original.run({.image = &image2o}).trace);
   EXPECT_GT(d_orig.slice(0, d_orig.size() - 100).max_abs(), 0.0);
 }
 

@@ -136,7 +136,7 @@ TEST(SimGolden, AesAndSha1Images) {
       aes::generate_aes_asm(key, aes::Block{}), compiler::Policy::kSelective);
   assembler::Program aes_image = aes_device.program();
   aes::poke_plaintext(aes_image, block);
-  EXPECT_EQ(hex(digest(aes_device.run_image(aes_image))),
+  EXPECT_EQ(hex(digest(aes_device.run({.image = &aes_image}))),
             hex(0xBBCD1B4C2554F8D3));
 
   std::array<std::uint32_t, 16> message{};
@@ -148,7 +148,7 @@ TEST(SimGolden, AesAndSha1Images) {
       compiler::Policy::kSelective);
   assembler::Program sha_image = sha_device.program();
   sha::poke_message(sha_image, message);
-  EXPECT_EQ(hex(digest(sha_device.run_image(sha_image))),
+  EXPECT_EQ(hex(digest(sha_device.run({.image = &sha_image}))),
             hex(0xD2973F8BFF6A70A4));
 }
 

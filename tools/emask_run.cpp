@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
   try {
     const hiding::Countermeasure policy = tools::to_countermeasure(policy_name);
     const energy::TechParams params = tools::tech_params(coupling_ff);
-    const auto pipeline =
+    auto pipeline =
         core::MaskingPipeline::from_source(buffer.str(), policy, params);
 
     const auto& mr = pipeline.mask_result();
@@ -77,26 +77,20 @@ int main(int argc, char** argv) {
       }
     }
 
-    sim::SimConfig config;
+    sim::SimConfig config = pipeline.sim_config();
     config.max_cycles = max_cycles;
-    // run_raw with a custom budget: replicate the core loop here so the CLI
-    // can honour --max-cycles.
-    sim::Pipeline machine(pipeline.program(), config);
-    energy::ProcessorEnergyModel model(params);
-    analysis::Trace trace;
-    const sim::SimResult result =
-        machine.run([&](const energy::CycleActivity& a) {
-          trace.push(model.cycle(a) * 1e12);
-        });
+    pipeline.set_sim_config(config);
+    const core::RunRequest request{.image = &pipeline.program()};
+    const core::EncryptionRun run = pipeline.run(request);
 
     std::printf("cycles    : %llu (%llu instructions, CPI %.3f, %llu "
                 "stalls, %llu flushes)\n",
-                static_cast<unsigned long long>(result.cycles),
-                static_cast<unsigned long long>(result.instructions),
-                result.cpi(), static_cast<unsigned long long>(result.stalls),
-                static_cast<unsigned long long>(result.flushes));
-    std::printf("energy    : %.3f uJ (%.1f pJ/cycle)\n", trace.total_uj(),
-                trace.mean_pj());
+                static_cast<unsigned long long>(run.sim.cycles),
+                static_cast<unsigned long long>(run.sim.instructions),
+                run.sim.cpi(), static_cast<unsigned long long>(run.sim.stalls),
+                static_cast<unsigned long long>(run.sim.flushes));
+    std::printf("energy    : %.3f uJ (%.1f pJ/cycle)\n", run.total_uj(),
+                run.mean_pj_per_cycle());
 
     if (breakdown) {
       std::printf("\n%-14s %12s\n", "component", "energy (uJ)");
@@ -104,14 +98,14 @@ int main(int argc, char** argv) {
         const auto comp = static_cast<energy::Component>(c);
         std::printf("%-14s %12.4f\n",
                     std::string(energy::component_name(comp)).c_str(),
-                    model.breakdown().get(comp) * 1e6);
+                    run.breakdown.get(comp) * 1e6);
       }
     }
     if (phases) {
       std::printf("\n%-16s %10s %12s %12s\n", "phase", "cycles",
                   "energy (uJ)", "pJ/cycle");
       for (const core::PhaseEnergy& p :
-           core::profile_phases(pipeline, pipeline.program())) {
+           core::profile_phases(pipeline, request)) {
         if (p.cycles == 0) continue;
         std::printf("%-16s %10llu %12.4f %12.1f\n", p.label.c_str(),
                     static_cast<unsigned long long>(p.cycles), p.energy_uj,
@@ -121,12 +115,12 @@ int main(int argc, char** argv) {
     if (!trace_path.empty()) {
       util::CsvWriter csv(trace_path);
       csv.write_header({"cycle", "energy_pj"});
-      for (std::size_t i = 0; i < trace.size(); ++i) {
-        csv.write_row({static_cast<double>(i), trace[i]});
+      for (std::size_t i = 0; i < run.trace.size(); ++i) {
+        csv.write_row({static_cast<double>(i), run.trace[i]});
       }
       csv.flush();
       std::printf("trace     : %s (%zu samples)\n", trace_path.c_str(),
-                  trace.size());
+                  run.trace.size());
     }
   } catch (const util::ArgError& e) {
     std::fprintf(stderr, "%s\n%s", e.what(), parser.usage().c_str());
