@@ -112,7 +112,7 @@ void BM_EnergyModelCycle(benchmark::State& state) {
   a.ex.unit = isa::FuncUnit::kAdder;
   a.mem.read = true;
   a.rf_write = true;
-  a.id_ex = energy::LatchWrite{true, false, 0, 64};
+  a.id_ex = energy::LatchWrite{true, false, 0};
   for (auto _ : state) {
     a.fetch_bits = rng.next_u64();
     a.ex.result = rng.next_u32();
