@@ -6,8 +6,9 @@
 // coupling-enabled capture.  Each kernel below computes the *same integer
 // event count* from one or two popcounts over shifted XOR planes, so the
 // swapped-in path is bit-identical (the double result is the identical
-// integer times the identical energy constant).  Header-only and
-// dependency-free so src/energy can include it without a link edge.
+// integer times the identical energy constant).  Header-only (counting
+// through the inline util::popcount) so src/energy can include it without
+// a link edge.
 //
 // Derivations (verified exhaustively in tests/bitslice_test.cpp):
 //
@@ -22,8 +23,9 @@
 //    self-shifted XOR over the same pair positions.
 #pragma once
 
-#include <bit>
 #include <cstdint>
+
+#include "util/bitops.hpp"
 
 namespace emask::bitslice {
 
@@ -40,8 +42,8 @@ namespace emask::bitslice {
   const std::uint64_t pm = pair_mask(width);
   const std::uint64_t rising = ~last & value;
   const std::uint64_t falling = last & ~value;
-  return std::popcount((rising ^ (rising >> 1)) & pm) +
-         std::popcount((falling ^ (falling >> 1)) & pm);
+  return util::popcount((rising ^ (rising >> 1)) & pm) +
+         util::popcount((falling ^ (falling >> 1)) & pm);
 }
 
 /// Scalar reference for coupling_events (the original per-pair loop).
@@ -63,7 +65,8 @@ namespace emask::bitslice {
 /// Secure-mode opposing-transition count for a dual-rail evaluation of
 /// `value` (already masked to `width` bits).
 [[nodiscard]] inline int secure_opposing(std::uint64_t value, int width) {
-  return width + std::popcount(~(value ^ (value >> 1)) & pair_mask(width));
+  return width +
+         util::popcount(~(value ^ (value >> 1)) & pair_mask(width));
 }
 
 /// Scalar reference for secure_opposing (the original per-pair loop).

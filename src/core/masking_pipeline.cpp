@@ -156,6 +156,11 @@ EncryptionRun MaskingPipeline::run(const RunRequest& request) const {
     for (const double pj : from->prefix.samples()) {
       run.trace.push(pj);  // splice the shared prefix in front
     }
+  } else if (stop == 0) {
+    // A cold run to halt is about as long as the device's last one; with
+    // no hint yet (the device's first run) the trace grows as it goes.
+    const std::uint64_t last = halt_length_.get();
+    if (last != 0) run.trace.reserve(last + kHaltTraceSlack);
   }
   run.trace.reserve(stop);  // exact for truncated runs
   if (request.observer) {
@@ -175,6 +180,7 @@ EncryptionRun MaskingPipeline::run(const RunRequest& request) const {
   if (stop == 0 && cipher != nullptr && cipher->size_bytes >= 64 * 4) {
     run.cipher = des::read_cipher(pipeline.memory(), program);
   }
+  if (stop == 0) halt_length_.set(run.trace.size());
   run.breakdown = model.breakdown();
   return run;
 }

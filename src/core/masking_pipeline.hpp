@@ -8,6 +8,7 @@
 // MaskingPipeline.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -81,6 +82,13 @@ struct RunRequest {
 
 class MaskingPipeline {
  public:
+  /// Samples a cold run to halt reserves beyond the length of the device's
+  /// previous run to halt.  shuffle_nop makes run lengths differ per
+  /// plaintext: a run takes 144 delays (16 round + 8 × 16 S-box slots) of
+  /// 0 to kShuffleNopMaxDelay loop iterations, 4 cycles an iteration past
+  /// the first, so two runs differ by at most 144 × 11 × 4 = 6,336 cycles.
+  static constexpr std::size_t kHaltTraceSlack = 8192;
+
   /// Builds the DES program and applies `policy` — a masking policy, a
   /// hiding policy, or any masking+hiding combination
   /// (hiding::Countermeasure converts implicitly from compiler::Policy).
@@ -212,11 +220,36 @@ class MaskingPipeline {
   [[nodiscard]] energy::HidingConfig hiding_config(
       std::uint64_t run_seed) const;
 
+  /// Length of the device's latest run to halt, so the next cold run to
+  /// halt can reserve its whole trace at once instead of regrowing it.  A
+  /// capacity hint only: it never reaches an output.  Relaxed atomic,
+  /// because BatchRunner workers share one const device; copies of the
+  /// device carry it along.
+  class LengthHint {
+   public:
+    LengthHint() = default;
+    LengthHint(const LengthHint& other) : cycles_(other.get()) {}
+    LengthHint& operator=(const LengthHint& other) {
+      set(other.get());
+      return *this;
+    }
+    [[nodiscard]] std::uint64_t get() const {
+      return cycles_.load(std::memory_order_relaxed);
+    }
+    void set(std::uint64_t cycles) const {
+      cycles_.store(cycles, std::memory_order_relaxed);
+    }
+
+   private:
+    mutable std::atomic<std::uint64_t> cycles_{0};
+  };
+
   compiler::MaskResult masked_;
   hiding::Countermeasure policy_;
   energy::TechParams params_;
   sim::SimConfig sim_config_;
   std::uint64_t hiding_seed_ = 0x9E3779B97F4A7C15ull;
+  LengthHint halt_length_;
 };
 
 }  // namespace emask::core

@@ -18,6 +18,8 @@
 #include <array>
 #include <cstdint>
 
+#include "util/bitops.hpp"
+
 namespace emask::dualrail {
 
 /// Per-cycle energy report of a dual-rail unit, in joules.
@@ -36,12 +38,17 @@ class DualRailXor32 {
   /// Returns the supply energy drawn this cycle.
   CycleEnergy cycle(std::uint32_t a, std::uint32_t b, bool secure);
 
-  /// Result latched at the end of the last evaluation (true rail).
-  [[nodiscard]] std::uint32_t result() const { return result_; }
+  /// Result latched at the end of the last evaluation (true rail).  The
+  /// output inverter reads 1 where the node discharged, 0 where it held.
+  [[nodiscard]] std::uint32_t result() const { return true_discharged_; }
 
   /// Number of nodes (true + complement rails) discharged during the last
   /// evaluation.  With `secure` this is always 32.
-  [[nodiscard]] int discharged_nodes() const { return discharged_; }
+  [[nodiscard]] int discharged_nodes() const {
+    return util::popcount(
+        true_discharged_ |
+        static_cast<std::uint64_t>(complement_discharged_) << 32);
+  }
 
  private:
   /// precharge_sums_[k]: the supply energy of recharging k nodes, summed one
@@ -51,8 +58,6 @@ class DualRailXor32 {
   std::array<double, 65> precharge_sums_{};
   std::uint32_t true_discharged_ = 0;        // true-rail nodes (a ^ b)
   std::uint32_t complement_discharged_ = 0;  // complement nodes, ~(a ^ b)
-  std::uint32_t result_ = 0;
-  int discharged_ = 0;
 };
 
 }  // namespace emask::dualrail

@@ -3,9 +3,7 @@
 // energy) hardware when driven by a secure instruction.
 #pragma once
 
-#include <bit>
 #include <cstdint>
-#include <cstdlib>
 
 #include "bitslice/hamming.hpp"
 #include "util/bitops.hpp"
@@ -35,6 +33,7 @@ class MaskableBus {
   MaskableBus(int width, double line_energy_joules,
               double coupling_energy_joules = 0.0)
       : width_(width),
+        mask_(width >= 64 ? ~0ull : ((1ull << width) - 1ull)),
         line_energy_(line_energy_joules),
         coupling_energy_(coupling_energy_joules) {}
 
@@ -43,11 +42,9 @@ class MaskableBus {
     // the secure bit) rides the same model as the 32-bit buses.  Coupling
     // is off in the default TechParams; the [[unlikely]] branches keep the
     // inlined coupling kernels out of the per-cycle hot path.
-    const std::uint64_t mask =
-        width_ >= 64 ? ~0ull : ((1ull << width_) - 1ull);
-    value &= mask;
+    value &= mask_;
     if (secure) {
-      last_ = mask;  // lines are pre-charged again after the evaluation
+      last_ = mask_;  // lines are pre-charged again after the evaluation
       double coupling = 0.0;
       if (coupling_energy_ > 0.0) [[unlikely]] {
         // Dual-rail layout [d0, ~d0, d1, ~d1, ...]: during evaluation each
@@ -71,7 +68,7 @@ class MaskableBus {
           coupling_energy_ * bitslice::coupling_events(last_, value, width_);
     }
     last_ = value;
-    return line_energy_ * std::popcount(rising) + coupling;
+    return line_energy_ * util::popcount(rising) + coupling;
   }
 
   /// Random-precharge transfer: the bus is precharged to the random word
@@ -83,21 +80,20 @@ class MaskableBus {
   /// precharges again before anything is driven.
   [[nodiscard]] double transfer_random(std::uint64_t value,
                                        std::uint64_t rand) {
-    const std::uint64_t mask =
-        width_ >= 64 ? ~0ull : ((1ull << width_) - 1ull);
-    value &= mask;
-    rand &= mask;
+    value &= mask_;
+    rand &= mask_;
     double coupling = 0.0;
     if (coupling_energy_ > 0.0) [[unlikely]] {
       coupling =
           coupling_energy_ * bitslice::coupling_events(rand, value, width_);
     }
     last_ = value;
-    return line_energy_ * std::popcount(value ^ rand) + coupling;
+    return line_energy_ * util::popcount(value ^ rand) + coupling;
   }
 
  private:
   int width_;
+  std::uint64_t mask_;  // the low `width_` lines
   double line_energy_;
   double coupling_energy_;
   std::uint64_t last_ = 0;
@@ -117,7 +113,7 @@ class MaskableLatch {
     if (secure) return bit_energy_ * width;
     const std::uint64_t mask =
         width >= 64 ? ~0ull : ((1ull << width) - 1ull);
-    return bit_energy_ * std::popcount(payload & mask);
+    return bit_energy_ * util::popcount(payload & mask);
   }
 
  private:

@@ -48,7 +48,8 @@ class ProcessorEnergyModel {
       const HidingConfig& hiding = HidingConfig{});
 
   /// Accounts one clock cycle of activity; returns this cycle's energy in
-  /// joules (also accumulated into the running breakdown).
+  /// joules (also accumulated into the running breakdown).  Reads each
+  /// payload field of `activity` only under the flag that gates it.
   double cycle(const CycleActivity& activity);
 
   [[nodiscard]] const Breakdown& breakdown() const { return breakdown_; }
@@ -57,6 +58,12 @@ class ProcessorEnergyModel {
   [[nodiscard]] const HidingConfig& hiding() const { return hiding_; }
 
  private:
+  /// cycle()'s one body, instantiated per hiding mode: the mode tests fold
+  /// away at compile time, so the masking-only instantiation carries no
+  /// wddl or random-precharge branch and draws no random word.
+  template <HidingMode Mode>
+  double cycle_in(const CycleActivity& activity);
+
   TechParams params_;
   HidingConfig hiding_;
   util::Rng rng_{0};  // random-precharge stream; reseeded per run

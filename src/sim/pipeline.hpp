@@ -102,8 +102,10 @@ class Pipeline {
   /// not into the program image.
   Pipeline(const assembler::Program& program, const Snapshot& snapshot);
 
-  /// Advances one clock.  Fills `activity` with what happened.  Returns
-  /// false once the machine has halted (activity is then all-idle).
+  /// Advances one clock.  Sets `activity`'s flags for what happened and
+  /// the payloads those flags gate; payloads under a clear flag keep stale
+  /// values (see CycleActivity).  Returns false once the machine has
+  /// halted (every flag is then clear).
   bool step(energy::CycleActivity& activity);
 
   /// Runs to halt (or the cycle limit, which throws).  Invokes

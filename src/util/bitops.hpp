@@ -1,15 +1,20 @@
 // Bit-manipulation helpers shared across the simulator, energy models and DES.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <vector>
 
 namespace emask::util {
 
-/// Number of set bits in `x`.
-[[nodiscard]] constexpr int popcount(std::uint32_t x) noexcept {
-  return std::popcount(x);
+/// Number of set bits in `x`, as portable branch-free SWAR arithmetic.  A
+/// build for a baseline x86-64 target has no popcount instruction, so
+/// std::popcount there is a call into libgcc; the energy model counts bits
+/// several times per simulated cycle and inlines this instead.
+[[nodiscard]] constexpr int popcount(std::uint64_t x) noexcept {
+  x -= (x >> 1) & 0x5555555555555555ull;
+  x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+  return static_cast<int>((x * 0x0101010101010101ull) >> 56);
 }
 
 /// Hamming distance between two 32-bit words: the number of bit positions
@@ -17,7 +22,7 @@ namespace emask::util {
 /// the quantity transition-sensitive energy models charge for.
 [[nodiscard]] constexpr int hamming_distance(std::uint32_t a,
                                              std::uint32_t b) noexcept {
-  return std::popcount(a ^ b);
+  return popcount(a ^ b);
 }
 
 /// Value of bit `pos` (0 = LSB) of `x`, as 0 or 1.

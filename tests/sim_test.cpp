@@ -685,12 +685,17 @@ TEST(PipelineSnapshot, RestoredContinuationIsBitIdentical) {
     const bool more_r = restored.step(ar);
     ASSERT_EQ(more_o, more_r);
     if (!more_o) break;
-    // Per-cycle lockstep across every field the energy model consumes.
+    // Per-cycle lockstep across every field the energy model consumes;
+    // a payload is compared only under the flag that gates it.
     EXPECT_EQ(ao.fetch, ar.fetch);
     EXPECT_EQ(ao.decode, ar.decode);
-    EXPECT_EQ(ao.rf_reads, ar.rf_reads);
+    if (ao.decode) {
+      EXPECT_EQ(ao.rf_reads, ar.rf_reads);
+    }
     EXPECT_EQ(ao.retired, ar.retired);
-    EXPECT_EQ(ao.retire_pc, ar.retire_pc);
+    if (ao.retired) {
+      EXPECT_EQ(ao.retire_pc, ar.retire_pc);
+    }
     EXPECT_EQ(ao.rf_write, ar.rf_write);
   }
   for (int r = 0; r < static_cast<int>(isa::kNumRegisters); ++r) {

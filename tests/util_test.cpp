@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -24,6 +25,19 @@ TEST(Bitops, HammingDistance) {
   EXPECT_EQ(hamming_distance(0xFFFFFFFFu, 0), 32);
   EXPECT_EQ(hamming_distance(0b1010, 0b0101), 4);
   EXPECT_EQ(hamming_distance(0x80000000u, 0), 1);
+}
+
+TEST(Bitops, PopcountMatchesStd) {
+  static_assert(popcount(0) == 0 && popcount(~0ull) == 64);
+  Rng rng(0xB17);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t x = rng.next_u64();
+    // Sparse and dense words as well as uniform ones.
+    for (const std::uint64_t w : {x, x & rng.next_u64(), x | rng.next_u64()}) {
+      ASSERT_EQ(popcount(w), std::popcount(w)) << w;
+    }
+  }
+  for (unsigned b = 0; b < 64; ++b) EXPECT_EQ(popcount(1ull << b), 1) << b;
 }
 
 TEST(Bitops, BitOfAndWithBit) {
