@@ -112,9 +112,13 @@ int main() {
       compiler::Policy::kOriginal, energy::TechParams::smartcard_025um(),
       hoisted);
 
+  // The cold reference: a run function never snapshots.
   core::BatchConfig cold_bc;
   cold_bc.threads = 1;
-  cold_bc.snapshot = core::SnapshotMode::kOff;
+  cold_bc.run_function = [](const core::MaskingPipeline& device,
+                            const core::BatchInput& in) {
+    return device.run_des(in.key, in.plaintext);
+  };
   core::BatchRunner cold(forkable, cold_bc);
   const analysis::TraceSet cold_set =
       cold.capture(kForkTraces, core::random_plaintexts(bench::kKey, kSeed));
@@ -133,7 +137,6 @@ int main() {
        {std::size_t{1}, std::size_t{2}, std::size_t{hw}}) {
     core::BatchConfig fork_bc;
     fork_bc.threads = threads;
-    fork_bc.snapshot = core::SnapshotMode::kRequire;
     core::BatchRunner forked(forkable, fork_bc);
     const analysis::TraceSet set = forked.capture(
         kForkTraces, core::random_plaintexts(bench::kKey, kSeed));

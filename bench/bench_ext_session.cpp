@@ -38,49 +38,67 @@ struct CipherCase {
   compiler::Policy policy;
 };
 
-/// Everything a captured session exposes that must be mode-independent:
-/// the per-block attribution rows plus every raw trace sample.
+const session::SessionKeys kKeys = {bench::kKey, 0x23456789ABCDEF01ull,
+                                    0x456789ABCDEF0123ull};
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// A forked session: its result rows, plus every (stage, block) run the
+/// engine simulated, in delivery order.
 struct Captured {
   session::SessionResult result;
-  std::vector<std::vector<double>> samples;  // one entry per (stage, block)
+  std::vector<session::BlockEvent> events;
+  std::vector<std::vector<double>> samples;  // one entry per event
   double wall_s = 0.0;
 };
 
-Captured run_session(const CipherCase& c, core::SnapshotMode snapshot,
+Captured run_session(session::SessionEngine& engine,
                      const std::vector<std::uint64_t>& blocks) {
-  session::SessionConfig cfg;
-  cfg.cipher = c.cipher;
-  cfg.policy = c.policy;
-  cfg.keys = {bench::kKey, 0x23456789ABCDEF01ull, 0x456789ABCDEF0123ull};
-  cfg.iv = bench::kPlain2;
-  cfg.snapshot = snapshot;
-  session::SessionEngine engine(cfg);
   Captured out;
   const auto t0 = std::chrono::steady_clock::now();
   out.result = engine.encrypt(
-      blocks, [&](const session::BlockEvent&, core::EncryptionRun& run) {
+      blocks, [&](const session::BlockEvent& ev, core::EncryptionRun& run) {
+        out.events.push_back(ev);
         out.samples.push_back(run.trace.samples());
       });
-  out.wall_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  out.wall_s = seconds_since(t0);
   return out;
 }
 
-bool identical(const Captured& a, const Captured& b) {
-  if (a.samples != b.samples) return false;
-  if (a.result.output != b.result.output) return false;
-  if (a.result.blocks.size() != b.result.blocks.size()) return false;
-  for (std::size_t i = 0; i < a.result.blocks.size(); ++i) {
-    const session::BlockResult& x = a.result.blocks[i];
-    const session::BlockResult& y = b.result.blocks[i];
-    if (x.input != y.input || x.chain != y.chain || x.output != y.output ||
-        x.cycles != y.cycles || x.energy_uj != y.energy_uj) {
-      return false;
-    }
+/// Re-simulates every run of a forked session from cycle 0 — run_des never
+/// snapshots — and checks that each trace, each block's summed cycles and
+/// energy, and the session output come out bit for bit the same.
+bool matches_cold(const session::SessionEngine& engine, const Captured& fork,
+                  double& wall_s) {
+  const std::uint64_t stage_keys[] = {kKeys.k1, kKeys.k2, kKeys.k3};
+  const std::size_t n = fork.result.blocks.size();
+  std::vector<std::uint64_t> cycles(n, 0);
+  std::vector<double> energy_uj(n, 0.0);
+  std::vector<std::uint64_t> output(n, 0);
+  bool same = fork.events.size() == n * engine.stages();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::size_t k = 0; same && k < fork.events.size(); ++k) {
+    const session::BlockEvent& ev = fork.events[k];
+    const core::MaskingPipeline& device = engine.device(ev.stage);
+    const std::uint64_t key = stage_keys[ev.stage];
+    const core::EncryptionRun cold =
+        device.has_iv() ? device.run_des_cbc(key, ev.stage_input, ev.chain)
+                        : device.run_des(key, ev.stage_input);
+    same = cold.trace.samples() == fork.samples[k];
+    cycles[ev.block] += cold.sim.cycles;
+    energy_uj[ev.block] += cold.total_uj();
+    output[ev.block] = cold.cipher;
   }
-  return a.result.session_cycles == b.result.session_cycles &&
-         a.result.cold_cycles == b.result.cold_cycles;
+  wall_s = seconds_since(t0);
+  for (std::size_t i = 0; same && i < n; ++i) {
+    const session::BlockResult& b = fork.result.blocks[i];
+    same = b.cycles == cycles[i] && b.energy_uj == energy_uj[i] &&
+           b.output == output[i];
+  }
+  return same && fork.result.output == output;
 }
 
 /// Amortized speedup of an N-block session from one block's cycle counts.
@@ -119,9 +137,15 @@ int main() {
   bool all_identical = true;
   bool all_fast_enough = true;
   for (const CipherCase& c : cases) {
-    const Captured fork = run_session(c, core::SnapshotMode::kRequire, blocks);
-    const Captured cold = run_session(c, core::SnapshotMode::kOff, blocks);
-    const bool same = identical(fork, cold);
+    session::SessionConfig cfg;
+    cfg.cipher = c.cipher;
+    cfg.policy = c.policy;
+    cfg.keys = kKeys;
+    cfg.iv = bench::kPlain2;
+    session::SessionEngine engine(cfg);
+    const Captured fork = run_session(engine, blocks);
+    double cold_wall_s = 0.0;
+    const bool same = matches_cold(engine, fork, cold_wall_s);
     all_identical &= same;
 
     const session::SessionResult& r = fork.result;
@@ -130,7 +154,7 @@ int main() {
                 kBlocks, r.stages);
     std::printf("wall: fork %.3f s (%.1f blocks/s), cold %.3f s; "
                 "fork vs cold bit-identical: %s\n",
-                fork.wall_s, fork_bps, cold.wall_s, same ? "YES" : "NO");
+                fork.wall_s, fork_bps, cold_wall_s, same ? "YES" : "NO");
     std::printf("cycles: prefix %llu, block %llu, session %llu "
                 "(cold %llu, %.3fx)\n",
                 static_cast<unsigned long long>(r.prefix_cycles),

@@ -62,10 +62,10 @@ std::string generate_aes_asm(const Key& key, const Block& plaintext,
   os << "# AES-128 encryption, byte-per-word layout (generated)\n";
   os << ".data\n";
   emit_byte_words(os, "key", key.data(), 16);
-  if (options.secret_key) os << ".secret key\n";
+  os << ".secret key\n";
   emit_byte_words(os, "plain", plaintext.data(), 16);
   os << "cipher:  .space 64\n";
-  if (options.declassify_output) os << ".declassified cipher\n";
+  os << ".declassified cipher\n";
   os << "state:   .space 64\n";
   os << "srbuf:   .space 64\n";   // ShiftRows output
   os << "rk:      .space 704\n";  // 176 round-key bytes

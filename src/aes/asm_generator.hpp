@@ -5,7 +5,8 @@
 // are 256-entry word tables indexed by secret-derived bytes — the *secure
 // indexing* pattern the paper introduces for the DES S-boxes, exercised
 // here at AES scale (200 S-box lookups + 144 xtime lookups + full key
-// expansion per block).
+// expansion per block).  The key is declared `.secret`, the output
+// `.declassified`.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,6 @@
 namespace emask::aes {
 
 struct AesAsmOptions {
-  bool secret_key = true;          // emit `.secret key`
-  bool declassify_output = true;   // emit `.declassified cipher`
   /// Generate the inverse cipher.  Symbol convention is unchanged: `plain`
   /// is the input block (here: the ciphertext) and `cipher` the output
   /// (here: the recovered plaintext), so poke_plaintext/read_cipher work

@@ -506,9 +506,9 @@ ScenarioResult run_session_scenario(const CampaignSpec& spec,
     trace_writer.reset();
   }
 
-  // Per-block attribution.  Deliberately snapshot-mode free: the rows are
-  // byte-identical whether blocks forked from the key-schedule snapshot or
-  // ran cold, which the determinism tests diff.
+  // Per-block attribution.  Deliberately free of fork/cold columns: the
+  // rows are byte-identical whether blocks forked from the key-schedule
+  // snapshot or ran cold, which the determinism tests diff.
   util::CsvWriter bcsv(dir + "/blocks.csv");
   bcsv.write_header({"block", "plaintext", "chain", "des_input", "output",
                      "cycles", "energy_uj"});

@@ -5,7 +5,6 @@
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -14,6 +13,10 @@
 
 namespace emask::core {
 namespace {
+
+/// Reorder-window slots per worker: bounds the traces resident during a
+/// streaming capture.
+constexpr std::size_t kWindowPerThread = 4;
 
 void accumulate(BatchStats& stats, const EncryptionRun& run) {
   ++stats.encryptions;
@@ -55,54 +58,30 @@ void BatchRunner::capture_each(
             .count();
   };
 
-  if (config_.snapshot == SnapshotMode::kRequire) {
-    if (config_.run_function) {
-      throw std::logic_error(
-          "BatchRunner: SnapshotMode::kRequire is incompatible with a "
-          "custom run_function (the runner cannot prove what it reads "
-          "before the fork point)");
-    }
-    if (!pipeline_.has_fork_point()) {
-      throw std::logic_error(
-          "BatchRunner: SnapshotMode::kRequire but the program declares no "
-          "fork marker (generate with DesAsmOptions::hoist_key_schedule)");
-    }
-    if (!pipeline_.fork_eligible()) {
-      throw std::logic_error(
-          "BatchRunner: SnapshotMode::kRequire but the device's " +
-          pipeline_.countermeasure().name() +
-          " countermeasure draws per-trace randomness from cycle 0 and "
-          "cannot share a prefix — use SnapshotMode::kAuto or kOff");
-    }
-  }
-
   // Shared-prefix snapshot, captured once for the batch's first key.  Runs
-  // with that key fork from it; any other key (and any budget ending at or
-  // before the fork point — MaskingPipeline::run falls back itself)
-  // cold-starts.
+  // with that key fork from it; any other key, and any budget ending at or
+  // before the fork point, cold-starts (DesSnapshot::forks).
   // Workers only read the snapshot; memory forks copy-on-write.
   std::optional<DesSnapshot> snap;
-  if (count > 0 && !config_.run_function &&
-      config_.snapshot != SnapshotMode::kOff && pipeline_.fork_eligible()) {
+  if (count > 0 && !config_.run_function && pipeline_.fork_eligible()) {
     snap.emplace(pipeline_.snapshot_des(generator(0).key));
     stats_.snapshot_prefix_cycles = snap->fork_cycle;
   }
-  // Whether run index `input` takes the fork path — pure function of the
-  // input, evaluated again on the serial emission side for stats.
+  // Whether a run takes the fork path — a pure function of the input,
+  // evaluated again on the serial emission side for stats.
   const auto forks = [&](const BatchInput& input) {
-    return snap.has_value() && input.key == snap->key &&
-           !(config_.stop_after_cycles != 0 &&
-             config_.stop_after_cycles <= snap->fork_cycle);
+    return snap.has_value() &&
+           snap->forks(input.key, config_.stop_after_cycles);
   };
 
   // One encryption, with per-index measurement noise.  The noise RNG is
   // seeded from the batch index (not from a stream shared across traces),
   // so noisy captures honour the determinism contract too.
   const bool chained = !config_.run_function && pipeline_.has_iv();
-  const auto run_one = [this, &snap, chained](const MaskingPipeline& device,
-                                              const BatchInput& input,
-                                              std::size_t index)
-      -> EncryptionRun {
+  const auto run_one = [this, &snap, &forks, chained](
+                           const MaskingPipeline& device,
+                           const BatchInput& input,
+                           std::size_t index) -> EncryptionRun {
     EncryptionRun run =
         config_.run_function
             ? config_.run_function(device, input)
@@ -111,9 +90,7 @@ void BatchRunner::capture_each(
                    .plaintext = input.plaintext,
                    .iv = chained ? std::optional(input.iv) : std::nullopt,
                    .stop_after_cycles = config_.stop_after_cycles,
-                   .from = snap.has_value() && input.key == snap->key
-                               ? &*snap
-                               : nullptr});
+                   .from = forks(input) ? &*snap : nullptr});
     if (config_.noise_sigma_pj > 0.0) {
       analysis::NoiseModel noise(config_.noise_sigma_pj,
                                  util::Rng::nth(config_.noise_seed, index));
@@ -145,9 +122,7 @@ void BatchRunner::capture_each(
   // sliding reorder window; the calling thread re-serializes completions in
   // index order.  Slot i lives at slots[i % window]; the window invariant
   // (claimed < emitted + window) guarantees a claimed slot is free.
-  const std::size_t window =
-      std::max(threads * std::max<std::size_t>(config_.window_per_thread, 1),
-               threads);
+  const std::size_t window = threads * kWindowPerThread;
   struct Slot {
     bool ready = false;
     BatchInput input;
@@ -256,18 +231,6 @@ analysis::TraceSet BatchRunner::capture(std::size_t count,
 analysis::TraceSet BatchRunner::capture(const std::vector<BatchInput>& inputs) {
   return capture(inputs.size(),
                  [&inputs](std::size_t i) { return inputs[i]; });
-}
-
-BatchStats BatchRunner::capture_to_file(const std::string& path,
-                                        std::size_t count,
-                                        const InputGenerator& generator) {
-  analysis::TraceSetWriter writer(path, count);
-  capture_each(count, generator,
-               [&](std::size_t, const BatchInput& input, EncryptionRun& run) {
-                 writer.append(input.plaintext, run.trace);
-               });
-  writer.close();
-  return stats_;
 }
 
 InputGenerator random_plaintexts(std::uint64_t key, std::uint64_t seed) {

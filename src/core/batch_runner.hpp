@@ -24,22 +24,22 @@
 //      breakdown) are accumulated on the emission side, in serial order, so
 //      even floating-point sums are schedule-independent.
 //
-// Large batches stream: a bounded reorder window (a few traces per worker)
-// caps resident memory, and capture_to_file() pipes straight into
-// analysis::TraceSetWriter so a million-trace acquisition never holds more
-// than the window in RAM.
+// Large batches stream: a bounded reorder window (four traces per worker)
+// caps resident memory, so a sink that writes each trace out (the
+// campaign runner's traces.emts) never holds more than the window in RAM.
 //
-// Shared-prefix forking (SnapshotMode): when the compiled program declares
-// a `fork` marker, the runner captures the plaintext-independent prefix
-// once (MaskingPipeline::snapshot_des) and forks every same-key run from
-// the snapshot.  run_des_from is bit-identical to run_des, so the
+// Shared-prefix forking: when the device is fork_eligible() and the batch
+// has no run_function, the runner captures the plaintext-independent
+// prefix once (MaskingPipeline::snapshot_des) and forks every same-key run
+// from the snapshot.  run_des_from is bit-identical to run_des, so the
 // determinism contract is unaffected — snapshotting is purely a throughput
-// optimization, and fork/cold accounting lands in BatchStats.
+// optimization, and fork/cold accounting lands in BatchStats.  A cold
+// reference for a forkable device is a run_function calling run_des, which
+// never snapshots.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "analysis/trace_io.hpp"
@@ -72,23 +72,6 @@ using InputGenerator = std::function<BatchInput(std::size_t)>;
 using RunFunction =
     std::function<EncryptionRun(const MaskingPipeline&, const BatchInput&)>;
 
-/// Shared-prefix snapshot/fork policy for a batch (see
-/// MaskingPipeline::snapshot_des).
-enum class SnapshotMode {
-  /// Snapshot when it applies: default DES runs (no custom run_function)
-  /// of a program that declares a `fork` marker.  Anything else falls back
-  /// to cold starts — bit-identical either way.
-  kAuto,
-  /// Never snapshot; every run is a cold start.
-  kOff,
-  /// Fail loudly (std::logic_error) if the batch cannot snapshot — a
-  /// custom run_function is configured, or the program declares no `fork`
-  /// marker.  Individual runs may still legitimately fall back cold (a
-  /// key differing from the snapshot key, or a stop_after_cycles budget
-  /// ending at or before the fork point).
-  kRequire,
-};
-
 struct BatchConfig {
   /// Worker threads; 0 = std::thread::hardware_concurrency().
   std::size_t threads = 0;
@@ -99,18 +82,13 @@ struct BatchConfig {
   /// per *index* so noisy batches stay schedule-independent.
   double noise_sigma_pj = 0.0;
   std::uint64_t noise_seed = 0xC0FFEE;
-  /// Reorder-window slots per worker (bounds resident traces during
-  /// streaming capture).
-  std::size_t window_per_thread = 4;
   /// Null = DES: device.run with the input's key, plaintext (and iv) and
-  /// stop_after_cycles.  Non-null overrides the whole simulation step
-  /// (stop_after_cycles is then the run function's business) and bypasses
-  /// snapshotting — the runner cannot know what a custom run reads before
-  /// the fork point.
+  /// stop_after_cycles, forked from a shared-prefix snapshot when the
+  /// device is fork_eligible().  Non-null overrides the whole simulation
+  /// step (stop_after_cycles is then the run function's business) and
+  /// never snapshots — the runner cannot know what a custom run reads
+  /// before the fork point.
   RunFunction run_function;
-  /// Shared-prefix snapshot/fork policy (ignored for run_function batches
-  /// unless kRequire, which then throws).
-  SnapshotMode snapshot = SnapshotMode::kAuto;
 };
 
 /// Batch observability: what the capture cost, aggregated in serial order.
@@ -161,11 +139,6 @@ class BatchRunner {
       std::size_t count, const InputGenerator& generator,
       const std::function<void(std::size_t, const BatchInput&,
                                EncryptionRun&)>& sink);
-
-  /// Streams the batch straight into an EMTS file (input = plaintext),
-  /// never holding more than the reorder window in memory.
-  BatchStats capture_to_file(const std::string& path, std::size_t count,
-                             const InputGenerator& generator);
 
   /// Statistics of the most recent capture.
   [[nodiscard]] const BatchStats& stats() const { return stats_; }

@@ -111,11 +111,10 @@ EncryptionRun MaskingPipeline::run(const RunRequest& request) const {
           "run: request key differs from the snapshot's key");
     }
   }
-  // A budget ending at or before the fork point cannot reuse the captured
-  // prefix without overrunning it — fall back to a cold start so the
-  // emitted trace is never longer than requested.
+  // A budget ending at or before the fork point falls back to a cold
+  // start, so the emitted trace is never longer than requested.
   const DesSnapshot* from =
-      request.from != nullptr && (stop == 0 || stop > request.from->fork_cycle)
+      request.from != nullptr && request.from->forks(request.key, stop)
           ? request.from
           : nullptr;
 

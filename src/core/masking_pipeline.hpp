@@ -53,6 +53,16 @@ struct DesSnapshot {
   analysis::Trace prefix;              // samples for cycles [0, fork_cycle)
   std::uint64_t key = 0;
   std::uint64_t fork_cycle = 0;  // cycle count at capture
+
+  /// Whether a run of `run_key` stopping after `stop_after_cycles` (0 = at
+  /// halt) forks from this snapshot.  The key must match, and a budget
+  /// ending at or before the fork point cannot reuse the captured prefix
+  /// without overrunning it, so such a run starts cold.
+  [[nodiscard]] bool forks(std::uint64_t run_key,
+                           std::uint64_t stop_after_cycles) const {
+    return run_key == key &&
+           (stop_after_cycles == 0 || stop_after_cycles > fork_cycle);
+  }
 };
 
 /// One simulated run, described by parameters: what runs (an image, or DES
@@ -73,7 +83,8 @@ struct RunRequest {
   /// cipher = 0.
   std::uint64_t stop_after_cycles = 0;
   /// Forks the DES run from this snapshot (its key must match `key`).  A
-  /// budget ending at or before the fork point falls back to a cold start.
+  /// budget ending at or before the fork point falls back to a cold start
+  /// (DesSnapshot::forks).
   const DesSnapshot* from = nullptr;
   /// Called after every cycle with its activity and energy (pJ).  Observed
   /// runs are cold: combining an observer with `from` throws.
@@ -190,8 +201,8 @@ class MaskingPipeline {
   }
   [[nodiscard]] const energy::TechParams& params() const { return params_; }
 
-  /// Overrides the simulator configuration (cycle budget, memory size,
-  /// operand-isolation ablation) for subsequent runs.
+  /// Overrides the simulator configuration (cycle budget, operand-isolation
+  /// ablation) for subsequent runs.
   void set_sim_config(const sim::SimConfig& config) { sim_config_ = config; }
   [[nodiscard]] const sim::SimConfig& sim_config() const { return sim_config_; }
 

@@ -252,11 +252,11 @@ std::string generate_des_asm(std::uint64_t key, std::uint64_t plaintext,
   os << "# DES encryption, bit-per-word layout (generated)\n";
   os << ".data\n";
   emit_bit_words(os, "key", key);
-  if (options.secret_key) os << ".secret key\n";
+  os << ".secret key\n";
   emit_bit_words(os, "plain", plaintext);
   if (options.cbc_chain) os << "iv:      .space 256\n";  // chaining value
   os << "cipher:  .space 256\n";
-  if (options.declassify_output) os << ".declassified cipher\n";
+  os << ".declassified cipher\n";
   os << "lr:      .space 256\n";   // L = lr[0..31], R = lr[32..63]
   os << "cd:      .space 224\n";   // C = cd[0..27], D = cd[28..55]
   os << "subkey:  .space 192\n";   // 48 bits of Km
@@ -265,7 +265,7 @@ std::string generate_des_asm(std::uint64_t key, std::uint64_t plaintext,
   os << "sbval:   .space 128\n";   // raw S-box output bits
   os << "sout:    .space 128\n";   // f(R,K) after P
   os << "preout:  .space 256\n";   // R16 || L16
-  if (options.declassify_output) os << ".declassified preout\n";
+  os << ".declassified preout\n";
   if (options.shuffle_slots) {
     // Per-trace random-delay schedule: 16 per-round + 8 per-S-box slots,
     // zero by default (a zero schedule reproduces the unshuffled trace).

@@ -28,8 +28,6 @@
 namespace emask::des {
 
 struct DesAsmOptions {
-  bool secret_key = true;          // emit `.secret key`
-  bool declassify_output = true;   // emit `.declassified preout/cipher`
   /// Generate the decryption program: the key schedule runs in reverse
   /// (rotate-right with the shift schedule 0,1,2,2,... so round m uses
   /// K(17-m)); everything else is identical to encryption.

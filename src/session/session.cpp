@@ -132,7 +132,7 @@ void SessionEngine::build_devices(bool decrypt) {
     des::DesAsmOptions opt;
     opt.decrypt = dec;
     opt.cbc_chain = chained;
-    opt.hoist_key_schedule = config_.hoist_key_schedule;
+    opt.hoist_key_schedule = true;
     return core::MaskingPipeline::des(config_.policy, config_.params, opt);
   };
   if (config_.cipher == SessionCipher::kDesCbc) {
@@ -201,7 +201,6 @@ SessionResult SessionEngine::run(const std::vector<std::uint64_t>& blocks,
   }
 
   // Per-stage plans: device key, inputs, golden expectations.
-  std::vector<std::uint64_t> plan_keys;
   std::vector<StagePlan> plans;
   const auto add_stage = [&](std::uint64_t key, bool chained, bool dec_core,
                              const std::vector<std::uint64_t>& stage_in) {
@@ -225,7 +224,6 @@ SessionResult SessionEngine::run(const std::vector<std::uint64_t>& blocks,
       plan.des_inputs.push_back(core_in);
       plan.chains.push_back(cv);
     }
-    plan_keys.push_back(key);
     plans.push_back(std::move(plan));
     return plans.back().expected;  // the next stage's input
   };
@@ -259,7 +257,6 @@ SessionResult SessionEngine::run(const std::vector<std::uint64_t>& blocks,
     bc.noise_sigma_pj = config_.noise_sigma_pj;
     // Distinct per-stage noise streams, still pure functions of the index.
     bc.noise_seed = config_.noise_seed + 0x9E3779B97F4A7C15ull * s;
-    bc.snapshot = config_.snapshot;
     core::BatchRunner runner(devs[s], bc);
     runner.capture_each(
         n, [&plan](std::size_t i) { return plan.inputs[i]; },
@@ -284,16 +281,12 @@ SessionResult SessionEngine::run(const std::vector<std::uint64_t>& blocks,
         });
     result.threads_used =
         std::max(result.threads_used, runner.stats().threads_used);
-    // Amortization math is snapshot-mode independent: the prefix length is
-    // a property of the program, reused from the runner's snapshot when it
-    // took one and measured once otherwise.  Non-fork-eligible devices
+    // The prefix length is a property of the program: the runner snapshots
+    // every fork-eligible stage and reports its fork cycle.  Other devices
     // (random_precharge) have no shareable prefix — every block pays the
     // schedule, so no prefix cycles are credited.
     if (devs[s].fork_eligible()) {
-      const std::uint64_t pc =
-          runner.stats().snapshot_prefix_cycles != 0
-              ? runner.stats().snapshot_prefix_cycles
-              : devs[s].snapshot_des(plan_keys[s]).fork_cycle;
+      const std::uint64_t pc = runner.stats().snapshot_prefix_cycles;
       if (!truncated || pc < config_.stop_after_cycles) {
         result.prefix_cycles += pc;
       }

@@ -11,9 +11,9 @@
 //     for encryption, cipher ^= iv after the output permutation for
 //     decryption), so the simulated trace includes the chaining energy;
 //   * the key schedule is hoisted (DesAsmOptions::hoist_key_schedule) and
-//     computed ONCE per session: block 2..N fork from the post-key-schedule
-//     snapshot (core::MaskingPipeline::snapshot_des), amortizing the
-//     schedule across the session;
+//     computed ONCE per session: every block forks from the
+//     post-key-schedule snapshot (core::MaskingPipeline::snapshot_des),
+//     amortizing the schedule across the session;
 //   * capture goes through core::BatchRunner.  CBC is sequential on the
 //     device but the chain values are *public* (each block's iv is the
 //     previous ciphertext), so the engine precomputes the chain with the
@@ -110,8 +110,8 @@ struct SessionConfig {
   std::uint64_t iv = 0;
   /// Masking and/or hiding countermeasure for every stage device (converts
   /// implicitly from a bare compiler::Policy).  A non-fork-compatible
-  /// hiding policy (random_precharge) silently disables the shared-prefix
-  /// amortization — every block runs cold — under SnapshotMode::kAuto.
+  /// hiding policy (random_precharge) disables the shared-prefix
+  /// amortization: every block runs cold and no prefix is credited.
   hiding::Countermeasure policy = compiler::Policy::kSelective;
   energy::TechParams params = energy::TechParams::smartcard_025um();
   /// Worker threads for block capture (0 = hardware concurrency).  Any
@@ -127,14 +127,6 @@ struct SessionConfig {
   /// skipped) and skips ciphertext validation, since truncated runs report
   /// cipher = 0.
   std::uint64_t stop_after_cycles = 0;
-  /// Snapshot/fork policy for the capture (kAuto forks whenever the
-  /// hoisted program allows; kOff forces per-block cold starts — traces
-  /// are bit-identical either way, which the equality tests assert).
-  core::SnapshotMode snapshot = core::SnapshotMode::kAuto;
-  /// Hoist the key schedule ahead of the fork marker so it is computed
-  /// once per session.  Off reproduces the paper's per-block in-round
-  /// schedule (no fork point, every block cold).
-  bool hoist_key_schedule = true;
   /// Base seed for per-trace hiding randomness; each stage device gets a
   /// distinct derived seed (still a pure function of this value).
   std::uint64_t hiding_seed = 0x9E3779B97F4A7C15ull;
@@ -169,8 +161,8 @@ struct SessionResult {
   std::vector<BlockResult> blocks;
   std::size_t stages = 1;        // DES passes per block actually simulated
   std::size_t threads_used = 0;  // capture workers (BatchStats::threads_used)
-  /// Amortization accounting, pure cycle math (schedule- and snapshot-mode
-  /// independent).  A cold session pays the key-schedule prefix on every
+  /// Amortization accounting, pure cycle math (the same whether blocks
+  /// fork or run cold).  A cold session pays the key-schedule prefix on every
   /// block of every stage; the hoisted session pays it once per stage.
   std::uint64_t prefix_cycles = 0;     // summed across simulated stages
   std::uint64_t block_cycles = 0;      // full cycles of one block, all stages

@@ -8,9 +8,8 @@ namespace emask::sim {
 using isa::Instruction;
 using isa::Opcode;
 
-Interpreter::Interpreter(const assembler::Program& program,
-                         std::size_t dmem_bytes)
-    : program_(program), dmem_(program, dmem_bytes), pc_(program.entry()) {
+Interpreter::Interpreter(const assembler::Program& program)
+    : program_(program), dmem_(program), pc_(program.entry()) {
   if (program_.text.empty()) {
     throw std::invalid_argument("Interpreter: empty program");
   }

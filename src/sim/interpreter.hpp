@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
 #include <cstdint>
 
 #include "assembler/program.hpp"
@@ -19,8 +18,7 @@ namespace emask::sim {
 
 class Interpreter {
  public:
-  explicit Interpreter(const assembler::Program& program,
-                       std::size_t dmem_bytes = 1u << 20);
+  explicit Interpreter(const assembler::Program& program);
 
   /// Runs to halt.  Throws on runaway (instruction budget exceeded),
   /// invalid memory access, or pc leaving the text section.

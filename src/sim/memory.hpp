@@ -11,6 +11,10 @@
 
 namespace emask::sim {
 
+/// Size of the modeled core's data SRAM: 1 MiB, the size every simulator
+/// and the reference interpreter build.
+inline constexpr std::size_t kDataMemoryBytes = 1u << 20;
+
 /// Byte-addressable data memory based at assembler::kDataBase.  Word
 /// accesses must be 4-byte aligned; violations and out-of-range accesses
 /// throw (they indicate a broken program, not a modeled trap).
@@ -28,7 +32,7 @@ namespace emask::sim {
 class DataMemory {
  public:
   explicit DataMemory(const assembler::Program& program,
-                      std::size_t size_bytes = 1u << 20);
+                      std::size_t size_bytes = kDataMemoryBytes);
 
   [[nodiscard]] std::uint32_t load_word(std::uint32_t address) const;
   void store_word(std::uint32_t address, std::uint32_t value);

@@ -136,12 +136,11 @@ Pipeline::Pipeline(const assembler::Program& program, SimConfig config)
     : program_(program),
       text_(predecode(program)),
       config_(config),
-      dmem_(program, config.dmem_bytes),
+      dmem_(program),
       pc_(program.entry()) {
   if (text_.empty()) {
     throw std::invalid_argument("Pipeline: empty program");
   }
-  if (config_.dcache) dcache_.emplace(*config_.dcache);
 }
 
 Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot)
@@ -159,8 +158,6 @@ Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot)
       retired_(snapshot.retired),
       stalls_(snapshot.stalls),
       flushes_(snapshot.flushes),
-      dcache_(snapshot.dcache),
-      miss_stall_remaining_(snapshot.miss_stall_remaining),
       halted_(snapshot.halted),
       halt_seen_(snapshot.halt_seen) {
   if (text_.empty()) {
@@ -187,8 +184,6 @@ Snapshot Pipeline::snapshot() const {
                   .retired = retired_,
                   .stalls = stalls_,
                   .flushes = flushes_,
-                  .dcache = dcache_,
-                  .miss_stall_remaining = miss_stall_remaining_,
                   .halted = halted_,
                   .halt_seen = halt_seen_,
                   .text_size = text_.size()};
@@ -215,13 +210,6 @@ bool Pipeline::step(energy::CycleActivity& activity) {
   activity.clear_flags();
   if (halted_) return false;
   ++cycles_;
-
-  // A data-cache miss blocks the whole (in-order, blocking-cache) pipeline;
-  // only the clock tree burns energy while the line is refilled.
-  if (miss_stall_remaining_ > 0) {
-    --miss_stall_remaining_;
-    return !halted_;
-  }
 
   // Snapshots of the start-of-cycle latch state.
   const IfId if_id = if_id_;
@@ -257,11 +245,6 @@ bool Pipeline::step(energy::CycleActivity& activity) {
       activity.mem.secure = d.secure;
       activity.mem.address = ex_mem.alu;
       activity.mem.data = d.is_load ? value : ex_mem.store_data;
-      if (dcache_ && !dcache_->access(ex_mem.alu)) {
-        // Blocking miss: the access completes architecturally now; the
-        // refill penalty freezes the machine for the following cycles.
-        miss_stall_remaining_ = dcache_->config().miss_penalty;
-      }
     }
     next_mem_wb = MemWb{true, ex_mem.pc, value};
   }

@@ -23,31 +23,24 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "assembler/program.hpp"
 #include "energy/activity.hpp"
 #include "isa/instruction.hpp"
-#include "sim/cache.hpp"
 #include "sim/memory.hpp"
 
 namespace emask::sim {
 
 struct SimConfig {
   std::uint64_t max_cycles = 50'000'000;
-  std::size_t dmem_bytes = 1u << 20;
   /// Gate register-file reads whose value will be superseded by forwarding
   /// (standard low-power operand isolation).  Also closes a side channel:
   /// without it, the stale architectural value of an overwritten register —
   /// possibly secret-derived — transits the ID/EX register under a
   /// non-secure instruction.  Disable only for the ablation experiment.
   bool operand_isolation = true;
-  /// Optional data cache (timing only).  Smart cards run cacheless —
-  /// enabling this reintroduces a key-dependent timing channel through
-  /// secret-indexed table lookups (see bench_ext_cache_timing).
-  std::optional<CacheConfig> dcache;
 };
 
 struct SimResult {
@@ -134,7 +127,7 @@ class Pipeline {
 
   /// Captures the complete machine state — registers, PC, the four
   /// inter-stage latches, cycle/retire/stall/flush counters, halt flags,
-  /// cache tags, and the data memory (shared copy-on-write, see
+  /// and the data memory (shared copy-on-write, see
   /// DataMemory) — so an identical Pipeline can be re-created later with
   /// the restore constructor and stepped on bit-identically.
   [[nodiscard]] Snapshot snapshot() const;
@@ -147,9 +140,6 @@ class Pipeline {
   [[nodiscard]] std::uint32_t reg(isa::Reg r) const { return regs_[r]; }
   [[nodiscard]] const DataMemory& memory() const { return dmem_; }
   [[nodiscard]] DataMemory& memory() { return dmem_; }
-  [[nodiscard]] const DirectMappedCache* dcache() const {
-    return dcache_ ? &*dcache_ : nullptr;
-  }
 
  private:
   using IfId = IfIdLatch;
@@ -196,8 +186,6 @@ class Pipeline {
   std::uint64_t retired_ = 0;
   std::uint64_t stalls_ = 0;
   std::uint64_t flushes_ = 0;
-  std::optional<DirectMappedCache> dcache_;
-  std::uint32_t miss_stall_remaining_ = 0;
   bool halted_ = false;
   bool halt_seen_ = false;  // a halt is in flight; stop fetching
 };
@@ -227,8 +215,6 @@ struct Snapshot {
   std::uint64_t retired = 0;
   std::uint64_t stalls = 0;
   std::uint64_t flushes = 0;
-  std::optional<DirectMappedCache> dcache;
-  std::uint32_t miss_stall_remaining = 0;
   bool halted = false;
   bool halt_seen = false;
   std::size_t text_size = 0;  // sanity check against the restoring program

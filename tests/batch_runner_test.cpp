@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <stdexcept>
 
-#include "analysis/trace_io.hpp"
 #include "core/batch_runner.hpp"
 #include "util/rng.hpp"
 
@@ -132,28 +130,10 @@ TEST(BatchRunner, StatsAggregateInSerialOrder) {
   EXPECT_EQ(a.breakdown.total(), b.breakdown.total());
   EXPECT_EQ(a.total_cycles, kTraces * kStop);
   EXPECT_GT(a.total_energy_uj, 0.0);
-}
-
-TEST(BatchRunner, StreamsToFileIdenticalToInMemoryCapture) {
-  const std::string path = ::testing::TempDir() + "/batch.emts";
-  BatchRunner runner(device(), config(4));
-  const BatchStats file_stats = runner.capture_to_file(
-      path, kTraces, random_plaintexts(kKey, kSeed));
-  EXPECT_EQ(file_stats.encryptions, kTraces);
-  const analysis::TraceSet from_file = analysis::load_trace_set(path);
-  BatchRunner again(device(), config(1));
-  const analysis::TraceSet in_memory =
-      again.capture(kTraces, random_plaintexts(kKey, kSeed));
-  ASSERT_EQ(from_file.size(), in_memory.size());
-  EXPECT_EQ(from_file.inputs, in_memory.inputs);
-  for (std::size_t i = 0; i < from_file.size(); ++i) {
-    for (std::size_t j = 0; j < from_file.traces[i].size(); ++j) {
-      // EMTS stores float32; compare at that precision.
-      EXPECT_EQ(from_file.traces[i][j],
-                static_cast<double>(static_cast<float>(in_memory.traces[i][j])));
-    }
-  }
-  std::remove(path.c_str());
+  // The device's program has no fork marker, so every run starts cold.
+  EXPECT_EQ(a.snapshot_forks, 0u);
+  EXPECT_EQ(a.cold_starts, kTraces);
+  EXPECT_EQ(a.snapshot_prefix_cycles, 0u);
 }
 
 TEST(BatchRunner, EmptyBatchIsANoOp) {
@@ -206,10 +186,19 @@ const MaskingPipeline& forkable_device() {
   return p;
 }
 
-BatchConfig full_config(std::size_t threads, SnapshotMode mode) {
+// Full runs (stop = 0): the fork path is exercised.
+BatchConfig full_config(std::size_t threads) {
   BatchConfig bc;
   bc.threads = threads;
-  bc.snapshot = mode;  // full runs (stop = 0): the fork path is exercised
+  return bc;
+}
+
+// The cold reference: a run function never snapshots.
+BatchConfig cold_config() {
+  BatchConfig bc = full_config(1);
+  bc.run_function = [](const MaskingPipeline& dev, const BatchInput& in) {
+    return dev.run_des(in.key, in.plaintext);
+  };
   return bc;
 }
 
@@ -219,13 +208,12 @@ BatchConfig full_config(std::size_t threads, SnapshotMode mode) {
 TEST(BatchRunnerSnapshot, ForkingIsBitIdenticalAcrossThreadCounts) {
   const std::size_t kN = 6;
   const InputGenerator gen = random_plaintexts(kKey, kSeed);
-  BatchRunner cold(forkable_device(), full_config(1, SnapshotMode::kOff));
+  BatchRunner cold(forkable_device(), cold_config());
   const analysis::TraceSet reference = cold.capture(kN, gen);
   EXPECT_EQ(cold.stats().snapshot_forks, 0u);
   EXPECT_EQ(cold.stats().cold_starts, kN);
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    BatchRunner forked(forkable_device(),
-                       full_config(threads, SnapshotMode::kRequire));
+    BatchRunner forked(forkable_device(), full_config(threads));
     const analysis::TraceSet set = forked.capture(kN, gen);
     expect_identical(reference, set);
     EXPECT_EQ(forked.stats().snapshot_forks, kN) << threads << " threads";
@@ -236,26 +224,29 @@ TEST(BatchRunnerSnapshot, ForkingIsBitIdenticalAcrossThreadCounts) {
 
 TEST(BatchRunnerSnapshot, NoisyForkedCaptureMatchesNoisyColdCapture) {
   const std::size_t kN = 4;
-  BatchConfig cold_cfg = full_config(1, SnapshotMode::kOff);
+  BatchConfig cold_cfg = cold_config();
   cold_cfg.noise_sigma_pj = 2.0;
   cold_cfg.noise_seed = 0x5EED;
   BatchRunner cold(forkable_device(), cold_cfg);
   const analysis::TraceSet reference =
       cold.capture(kN, random_plaintexts(kKey, kSeed));
-  BatchConfig fork_cfg = cold_cfg;
-  fork_cfg.threads = 8;
-  fork_cfg.snapshot = SnapshotMode::kRequire;
+  EXPECT_EQ(cold.stats().cold_starts, kN);
+  BatchConfig fork_cfg = full_config(8);
+  fork_cfg.noise_sigma_pj = cold_cfg.noise_sigma_pj;
+  fork_cfg.noise_seed = cold_cfg.noise_seed;
   BatchRunner forked(forkable_device(), fork_cfg);
   const analysis::TraceSet set =
       forked.capture(kN, random_plaintexts(kKey, kSeed));
   expect_identical(reference, set);
+  EXPECT_EQ(forked.stats().snapshot_forks, kN);
+  EXPECT_EQ(forked.stats().cold_starts, 0u);
 }
 
 // The snapshot is keyed to the batch's first input: other keys in the same
 // batch cold-start (and still come out right).
 TEST(BatchRunnerSnapshot, MixedKeysForkOnlyTheSnapshotKey) {
   std::vector<BatchInput> inputs = {{kKey, 1}, {kKey ^ 1, 2}, {kKey, 3}};
-  BatchRunner runner(forkable_device(), full_config(2, SnapshotMode::kAuto));
+  BatchRunner runner(forkable_device(), full_config(2));
   const analysis::TraceSet set = runner.capture(inputs);
   ASSERT_EQ(set.size(), 3u);
   EXPECT_EQ(runner.stats().snapshot_forks, 2u);
@@ -268,7 +259,7 @@ TEST(BatchRunnerSnapshot, MixedKeysForkOnlyTheSnapshotKey) {
 // A stop_after_cycles budget ending before the fork point silently falls
 // back to cold starts — the trace is never longer than requested.
 TEST(BatchRunnerSnapshot, StopBeforeForkPointFallsBackCold) {
-  BatchConfig bc = full_config(2, SnapshotMode::kRequire);
+  BatchConfig bc = full_config(2);
   bc.stop_after_cycles = 100;  // well before the hoisted key schedule ends
   BatchRunner runner(forkable_device(), bc);
   const analysis::TraceSet set =
@@ -278,12 +269,10 @@ TEST(BatchRunnerSnapshot, StopBeforeForkPointFallsBackCold) {
   EXPECT_EQ(runner.stats().cold_starts, 3u);
 }
 
-// A custom run_function bypasses snapshotting cleanly under kAuto...
+// A custom run_function never snapshots, so it is the cold reference.
 TEST(BatchRunnerSnapshot, RunFunctionBypassesSnapshotting) {
-  BatchConfig bc = full_config(2, SnapshotMode::kAuto);
-  bc.run_function = [](const MaskingPipeline& dev, const BatchInput& in) {
-    return dev.run_des(in.key, in.plaintext);
-  };
+  BatchConfig bc = cold_config();
+  bc.threads = 2;
   BatchRunner runner(forkable_device(), bc);
   const analysis::TraceSet set =
       runner.capture(3, random_plaintexts(kKey, kSeed));
@@ -291,21 +280,6 @@ TEST(BatchRunnerSnapshot, RunFunctionBypassesSnapshotting) {
   EXPECT_EQ(runner.stats().snapshot_forks, 0u);
   EXPECT_EQ(runner.stats().cold_starts, 3u);
   EXPECT_EQ(runner.stats().snapshot_prefix_cycles, 0u);
-}
-
-// ... and fails loudly under kRequire, as does a program with no marker.
-TEST(BatchRunnerSnapshot, RequireFailsLoudlyWhenItCannotSnapshot) {
-  BatchConfig with_fn = full_config(1, SnapshotMode::kRequire);
-  with_fn.run_function = [](const MaskingPipeline& dev, const BatchInput& in) {
-    return dev.run_des(in.key, in.plaintext);
-  };
-  BatchRunner bad_fn(forkable_device(), with_fn);
-  EXPECT_THROW((void)bad_fn.capture(2, random_plaintexts(kKey, kSeed)),
-               std::logic_error);
-
-  BatchRunner no_marker(device(), full_config(1, SnapshotMode::kRequire));
-  EXPECT_THROW((void)no_marker.capture(2, random_plaintexts(kKey, kSeed)),
-               std::logic_error);
 }
 
 }  // namespace

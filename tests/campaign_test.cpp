@@ -5,12 +5,18 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <vector>
 
+#include "analysis/trace_io.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/merge.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "core/masking_pipeline.hpp"
+#include "des/des.hpp"
+#include "util/rng.hpp"
 
 namespace emask::campaign {
 namespace {
@@ -663,6 +669,99 @@ TEST(Runner, RerunWithDifferentSpecInSameDirIsError) {
       CampaignSpec::parse(std::string(kMinimalSpec) + "# changed\n");
   EXPECT_THROW((void)CampaignRunner(other, options).run(), SpecError);
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------------- saved traces
+
+/// What a scenario's traces.emts must hold: every captured input and the
+/// trace a direct cold run of it produces.  Block scenarios capture
+/// plaintext Rng::nth(seed, i); des_cbc sessions save each block's
+/// effective DES input (plaintext ^ chaining value).
+analysis::TraceSet expected_saved_traces(const Scenario& s) {
+  const energy::TechParams params = s.tech_params({});
+  analysis::TraceSet set;
+  if (s.cipher == Cipher::kDes) {
+    const auto device = core::MaskingPipeline::des(s.policy, params);
+    for (std::size_t i = 0; i < s.traces; ++i) {
+      const std::uint64_t pt = util::Rng::nth(s.seed, i);
+      set.add(pt, device.run_des(s.key, pt).trace);
+    }
+    return set;
+  }
+  des::DesAsmOptions options;
+  options.hoist_key_schedule = true;
+  options.cbc_chain = true;
+  const auto device = core::MaskingPipeline::des(s.policy, params, options);
+  std::vector<std::uint64_t> blocks(s.session_length);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    blocks[i] = util::Rng::nth(s.seed, i);
+  }
+  const std::vector<std::uint64_t> cipher =
+      des::cbc_encrypt(blocks, s.key, s.fixed_input);
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const std::uint64_t chain = i == 0 ? s.fixed_input : cipher[i - 1];
+    set.add(blocks[i] ^ chain,
+            device.run_des_cbc(s.key, blocks[i], chain).trace);
+  }
+  return set;
+}
+
+// [campaign] save_traces writes each scenario's captures to traces.emts —
+// the traces direct cold runs produce, byte-identical at any --jobs — and
+// changes no other scenario artifact.  One DES block scenario and one
+// des_cbc session (their axes cannot share one cross product).
+TEST(Runner, SaveTracesWritesEveryCaptureAndChangesNothingElse) {
+  const fs::path base = fs::path(::testing::TempDir()) / "emask_save_traces";
+  for (const std::string axes :
+       {"cipher = des\npolicy = original\ntraces = 6\n",
+        "cipher = des_cbc\npolicy = original\nsession_length = 5\n"}) {
+    fs::remove_all(base);
+    const std::string head = "[campaign]\nname = save_traces\n";
+    const CampaignSpec saved =
+        CampaignSpec::parse(head + "save_traces = true\n[axes]\n" + axes);
+    const CampaignSpec unsaved = CampaignSpec::parse(head + "[axes]\n" + axes);
+    const Scenario scenario = saved.expand().front();
+    const auto run = [&](const CampaignSpec& spec, std::size_t jobs,
+                         const std::string& name) {
+      RunnerOptions options;
+      options.out_dir = (base / name).string();
+      options.jobs = jobs;
+      options.quiet = true;
+      EXPECT_TRUE(CampaignRunner(spec, options).run().complete);
+      return base / name / "scenarios" / scenario.id;
+    };
+    const fs::path one = run(saved, 1, "jobs1");
+    const fs::path four = run(saved, 4, "jobs4");
+    const fs::path off = run(unsaved, 4, "unsaved");
+
+    const analysis::TraceSet expected = expected_saved_traces(scenario);
+    const analysis::TraceSet set =
+        analysis::load_trace_set((one / "traces.emts").string());
+    ASSERT_EQ(set.size(), expected.size()) << axes;
+    EXPECT_EQ(set.inputs, expected.inputs) << axes;
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      // EMTS stores float32; compare at that precision.
+      std::vector<double> rounded;
+      for (const double pj : expected.traces[i].samples()) {
+        rounded.push_back(static_cast<float>(pj));
+      }
+      EXPECT_EQ(set.traces[i].samples(), rounded) << axes << " trace " << i;
+    }
+    EXPECT_EQ(read_file(one / "traces.emts"), read_file(four / "traces.emts"))
+        << axes;
+
+    std::size_t others = 0;
+    for (const auto& file : fs::directory_iterator(off)) {
+      ++others;
+      EXPECT_EQ(read_file(file.path()), read_file(one / file.path().filename()))
+          << axes << " " << file.path().filename();
+    }
+    EXPECT_EQ(static_cast<std::size_t>(std::distance(
+                  fs::directory_iterator(one), fs::directory_iterator())),
+              others + 1)
+        << axes;
+  }
+  fs::remove_all(base);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "assembler/assembler.hpp"
 #include "des/asm_generator.hpp"
@@ -136,12 +137,25 @@ class ProgramFuzzer {
   util::Rng rng_;
 };
 
-/// Parameter: (seed index, cache enabled).
+/// One data access as the pipeline reports it in CycleActivity::mem.
+struct Access {
+  bool write = false;
+  std::uint32_t address = 0;
+  std::uint32_t data = 0;
+};
+
+/// Parameter: (seed index, replay the data accesses).  The `_cached`
+/// instances, named for the data cache whose timing this stream decides,
+/// also check the pipeline's reported data-access stream — what a cache in
+/// front of the SRAM would see, and what bench_ext_cache_timing replays
+/// into its tags.  Replayed in order onto the initial image, every load
+/// must read the value the pipeline reported and the stores must leave the
+/// interpreter's final memory.
 class DifferentialTest
     : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(DifferentialTest, PipelineMatchesInterpreter) {
-  const auto [seed, with_cache] = GetParam();
+  const auto [seed, replay_accesses] = GetParam();
   ProgramFuzzer fuzzer(0xD1FF0000ull + static_cast<std::uint64_t>(seed));
   const std::string source = fuzzer.generate();
   const assembler::Program program = assembler::assemble(source);
@@ -149,16 +163,15 @@ TEST_P(DifferentialTest, PipelineMatchesInterpreter) {
   Interpreter golden(program);
   golden.run();
 
-  SimConfig config;
-  if (with_cache) {
-    CacheConfig cache;
-    cache.size_bytes = 128;  // tiny: maximal miss/conflict traffic
-    cache.line_bytes = 16;
-    cache.miss_penalty = 3;
-    config.dcache = cache;
-  }
-  Pipeline pipeline(program, config);
-  const SimResult result = pipeline.run();
+  std::vector<Access> accesses;
+  Pipeline pipeline(program);
+  const SimResult result =
+      pipeline.run([&](const energy::CycleActivity& activity) {
+        if (activity.mem.read || activity.mem.write) {
+          accesses.push_back(
+              {activity.mem.write, activity.mem.address, activity.mem.data});
+        }
+      });
 
   EXPECT_TRUE(result.halted);
   EXPECT_EQ(result.instructions, golden.instructions())
@@ -175,6 +188,23 @@ TEST_P(DifferentialTest, PipelineMatchesInterpreter) {
     ASSERT_EQ(pipeline.memory().load_word(base + off),
               golden.memory().load_word(base + off))
         << "memory diverged at offset " << off;
+  }
+
+  if (!replay_accesses) return;
+  DataMemory replay(program);
+  for (std::size_t i = 0; i < accesses.size(); ++i) {
+    const Access& access = accesses[i];
+    if (access.write) {
+      replay.store_word(access.address, access.data);
+    } else {
+      ASSERT_EQ(replay.load_word(access.address), access.data)
+          << "access " << i << " read a value its predecessors did not leave";
+    }
+  }
+  for (std::uint32_t off = 0; off < 256; off += 4) {
+    ASSERT_EQ(replay.load_word(base + off),
+              golden.memory().load_word(base + off))
+        << "replayed stores diverged at offset " << off;
   }
 }
 

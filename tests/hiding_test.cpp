@@ -131,29 +131,28 @@ TEST(Hiding, RandomPrechargeRefusesSnapshotFork) {
   EXPECT_TRUE(rp.has_fork_point());
   EXPECT_FALSE(rp.fork_eligible());
   EXPECT_THROW((void)rp.snapshot_des(kKey), std::logic_error);
-
-  BatchConfig bc;
-  bc.snapshot = SnapshotMode::kRequire;
-  BatchRunner runner(rp, bc);
-  EXPECT_THROW((void)runner.capture(2, random_plaintexts(kKey, 1)),
-               std::logic_error);
 }
 
-// SnapshotMode::kAuto degrades to cold starts for such a device and stays
-// bit-identical at any thread count.
+// A default batch of such a device runs every trace cold, and matches the
+// direct run_des of each input at any thread count.
 TEST(Hiding, RandomPrechargeAutoSnapshotMatchesColdAtAnyThreadCount) {
   const MaskingPipeline rp = forkable_device("random_precharge");
   const InputGenerator gen = random_plaintexts(kKey, 0xBA7C4);
-  BatchConfig cold;
-  cold.stop_after_cycles = 1500;
-  cold.snapshot = SnapshotMode::kOff;
-  cold.threads = 1;
-  const analysis::TraceSet reference = BatchRunner(rp, cold).capture(6, gen);
+  constexpr std::size_t kN = 6;
+  constexpr std::uint64_t kStop = 1500;
+  analysis::TraceSet reference;
+  for (std::size_t i = 0; i < kN; ++i) {
+    const BatchInput in = gen(i);
+    reference.add(in.plaintext, rp.run_des(in.key, in.plaintext, kStop).trace);
+  }
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    BatchConfig aut = cold;
-    aut.snapshot = SnapshotMode::kAuto;
-    aut.threads = threads;
-    expect_identical(reference, BatchRunner(rp, aut).capture(6, gen));
+    BatchConfig bc;
+    bc.stop_after_cycles = kStop;
+    bc.threads = threads;
+    BatchRunner runner(rp, bc);
+    expect_identical(reference, runner.capture(kN, gen));
+    EXPECT_EQ(runner.stats().snapshot_forks, 0u);
+    EXPECT_EQ(runner.stats().cold_starts, kN);
   }
 }
 

@@ -184,9 +184,10 @@ TEST(SessionEngine, AmortizationAccountingIsConsistent) {
                     static_cast<std::uint64_t>(blocks.size() - 1));
   EXPECT_GT(hoisted.amortized_speedup(), 1.0);
 
-  // The paper's per-block in-round schedule: nothing to hoist, no fork
-  // point, a session costs exactly N cold blocks.
-  cfg.hoist_key_schedule = false;
+  // random_precharge cannot share its prefix (it draws per-trace
+  // randomness from cycle 0): every block runs cold, no prefix is
+  // credited, and a session costs exactly N cold blocks.
+  cfg.policy = hiding::countermeasure_from_name("random_precharge");
   const session::SessionResult cold =
       session::SessionEngine(cfg).encrypt(blocks);
   EXPECT_EQ(cold.prefix_cycles, 0u);
@@ -224,19 +225,43 @@ void expect_identical(const CapturedSession& a, const CapturedSession& b,
   }
 }
 
+// Every block of a session forks from the key-schedule snapshot, and each
+// forked trace, cycle count and energy equals a cold run_des_cbc of the
+// same inputs.  (Noisy fork-vs-cold identity is BatchRunnerSnapshot's.)
 TEST(SessionEngine, ForkVsColdCaptureIsByteIdentical) {
   const std::vector<std::uint64_t> blocks = test_blocks(4);
-  session::SessionConfig cfg = engine_config(session::SessionCipher::kDesCbc);
-  cfg.noise_sigma_pj = 2.0;  // noise must be seeded per block, not per run
-  cfg.snapshot = core::SnapshotMode::kRequire;
-  const CapturedSession forked = capture(cfg, blocks);
-  cfg.snapshot = core::SnapshotMode::kOff;
-  const CapturedSession cold = capture(cfg, blocks);
-  expect_identical(forked, cold, "fork vs cold");
-  // Forked traces report full spliced cycle counts, so the amortization
-  // numbers are snapshot-mode independent too.
-  EXPECT_EQ(forked.result.session_cycles, cold.result.session_cycles);
-  EXPECT_EQ(forked.result.cold_cycles, cold.result.cold_cycles);
+  const session::SessionConfig cfg =
+      engine_config(session::SessionCipher::kDesCbc);
+  session::SessionEngine engine(cfg);
+  std::vector<core::BatchInput> inputs;
+  std::vector<std::vector<double>> samples;
+  const session::SessionResult forked = engine.encrypt(
+      blocks, [&](const session::BlockEvent& ev, core::EncryptionRun& run) {
+        EXPECT_EQ(ev.block, inputs.size());
+        inputs.push_back({cfg.keys.k1, ev.stage_input, ev.chain});
+        samples.push_back(run.trace.samples());
+      });
+  ASSERT_EQ(inputs.size(), blocks.size());
+  EXPECT_GT(forked.prefix_cycles, 0u);
+
+  const core::MaskingPipeline& device = engine.device(0);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const core::EncryptionRun cold =
+        device.run_des_cbc(inputs[i].key, inputs[i].plaintext, inputs[i].iv);
+    EXPECT_EQ(cold.trace.samples(), samples[i]) << "block " << i;
+    EXPECT_EQ(cold.sim.cycles, forked.blocks[i].cycles) << "block " << i;
+    EXPECT_EQ(cold.total_uj(), forked.blocks[i].energy_uj) << "block " << i;
+    EXPECT_EQ(cold.cipher, forked.output[i]) << "block " << i;
+  }
+
+  // The engine's capture is a default batch of these inputs: all forked.
+  core::BatchRunner runner(device);
+  const analysis::TraceSet batch = runner.capture(inputs);
+  EXPECT_EQ(runner.stats().snapshot_forks, blocks.size());
+  EXPECT_EQ(runner.stats().cold_starts, 0u);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    EXPECT_EQ(batch.traces[i].samples(), samples[i]) << "block " << i;
+  }
 }
 
 TEST(SessionEngine, ThreadCountsAreByteIdentical) {

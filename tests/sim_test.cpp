@@ -481,66 +481,6 @@ TEST(Interpreter, StepAfterHaltReturnsFalse) {
   EXPECT_EQ(interp.instructions(), 1u);
 }
 
-// ---- Optional data cache (timing model) ----
-
-TEST(Cache, DirectMappedSemantics) {
-  CacheConfig cfg;
-  cfg.size_bytes = 256;
-  cfg.line_bytes = 32;
-  DirectMappedCache cache(cfg);
-  EXPECT_FALSE(cache.access(0x1000));       // cold miss
-  EXPECT_TRUE(cache.access(0x1000));        // hit
-  EXPECT_TRUE(cache.access(0x101C));        // same 32B line
-  EXPECT_FALSE(cache.access(0x1020));       // next line
-  EXPECT_FALSE(cache.access(0x1100));       // conflicts with 0x1000 (256B)
-  EXPECT_FALSE(cache.access(0x1000));       // evicted
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 4u);
-}
-
-TEST(Cache, RejectsNonPowerOfTwoGeometry) {
-  CacheConfig bad;
-  bad.size_bytes = 100;
-  EXPECT_THROW(DirectMappedCache{bad}, std::invalid_argument);
-  bad.size_bytes = 128;
-  bad.line_bytes = 24;
-  EXPECT_THROW(DirectMappedCache{bad}, std::invalid_argument);
-}
-
-TEST(Cache, MissPenaltyStallsPipeline) {
-  const std::string src = R"(
-.data
-a: .word 1
-b: .space 1024
-.text
-main:
-  la $t0, a
-  lw $t1, 0($t0)
-  lw $t2, 0($t0)
-  halt
-)";
-  assembler::Program prog = assembler::assemble(src);
-  SimConfig no_cache;
-  Pipeline p0(prog, no_cache);
-  const std::uint64_t base = p0.run().cycles;
-
-  SimConfig with_cache;
-  CacheConfig cache;
-  cache.size_bytes = 256;
-  cache.line_bytes = 32;
-  cache.miss_penalty = 10;
-  with_cache.dcache = cache;
-  Pipeline p1(prog, with_cache);
-  const SimResult r = p1.run();
-  // One cold miss (second access hits the same line): exactly +10 cycles.
-  EXPECT_EQ(r.cycles, base + 10);
-  EXPECT_EQ(p1.dcache()->misses(), 1u);
-  EXPECT_EQ(p1.dcache()->hits(), 1u);
-  // Architectural results unaffected.
-  EXPECT_EQ(p1.reg(9), 1u);
-  EXPECT_EQ(p1.reg(10), 1u);
-}
-
 // ---- Activity reporting (what the energy model consumes) ----
 
 TEST(PipelineActivity, MemActivityCarriesAddressAndData) {
