@@ -101,15 +101,30 @@ std::int8_t reg_or_none(const std::optional<isa::Reg>& r) {
   return r ? static_cast<std::int8_t>(*r) : std::int8_t{-1};
 }
 
+/// The decoded text a Pipeline over `program` may run: non-empty and of
+/// `program`'s length.
+std::shared_ptr<const DecodedText> checked(
+    const assembler::Program& program,
+    std::shared_ptr<const DecodedText> text) {
+  if (program.text.empty()) {
+    throw std::invalid_argument("Pipeline: empty program");
+  }
+  if (text == nullptr || text->size() != program.text.size()) {
+    throw std::invalid_argument(
+        "Pipeline: decoded text does not match the program");
+  }
+  return text;
+}
+
 }  // namespace
 
-std::vector<Pipeline::Decoded> Pipeline::predecode(
+std::shared_ptr<const DecodedText> predecode(
     const assembler::Program& program) {
-  std::vector<Decoded> text;
-  text.reserve(program.text.size());
+  auto text = std::make_shared<DecodedText>();
+  text->reserve(program.text.size());
   for (const isa::Instruction& inst : program.text) {
     const isa::OpcodeInfo& oi = isa::info(inst.op);
-    Decoded d;
+    DecodedInstruction d;
     // An unencodable instruction is only an error if it is ever fetched:
     // IF re-encodes it then, throwing encode's own error.
     try {
@@ -127,25 +142,26 @@ std::vector<Pipeline::Decoded> Pipeline::predecode(
     d.is_load = oi.is_load;
     d.is_store = oi.is_store;
     d.is_halt = inst.op == Opcode::kHalt;
-    text.push_back(d);
+    text->push_back(d);
   }
   return text;
 }
 
-Pipeline::Pipeline(const assembler::Program& program, SimConfig config)
+Pipeline::Pipeline(const assembler::Program& program,
+                   std::shared_ptr<const DecodedText> text, SimConfig config)
     : program_(program),
-      text_(predecode(program)),
+      decoded_(checked(program, std::move(text))),
+      text_(*decoded_),
       config_(config),
       dmem_(program),
-      pc_(program.entry()) {
-  if (text_.empty()) {
-    throw std::invalid_argument("Pipeline: empty program");
-  }
-}
+      pc_(program.entry()) {}
 
-Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot)
+Pipeline::Pipeline(const assembler::Program& program,
+                   std::shared_ptr<const DecodedText> text,
+                   const Snapshot& snapshot)
     : program_(program),
-      text_(predecode(program)),
+      decoded_(checked(program, std::move(text))),
+      text_(*decoded_),
       config_(snapshot.config),
       dmem_(snapshot.memory),  // copy-on-write: pages stay shared until written
       regs_(snapshot.regs),
@@ -160,9 +176,6 @@ Pipeline::Pipeline(const assembler::Program& program, const Snapshot& snapshot)
       flushes_(snapshot.flushes),
       halted_(snapshot.halted),
       halt_seen_(snapshot.halt_seen) {
-  if (text_.empty()) {
-    throw std::invalid_argument("Pipeline: empty program");
-  }
   if (snapshot.text_size != text_.size()) {
     throw std::invalid_argument(
         "Pipeline: snapshot was captured from a different program (text size " +

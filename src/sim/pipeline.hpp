@@ -23,6 +23,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -84,16 +86,57 @@ struct MemWbLatch {
 
 struct Snapshot;
 
+/// One text instruction with everything Pipeline::step asks of it, resolved
+/// once: the fetch word and the register, unit and flag lookups the stage,
+/// hazard and forwarding logic would otherwise redo per cycle.
+struct DecodedInstruction {
+  std::uint64_t encoded = 0;  // 33-bit fetch word
+  std::int32_t imm = 0;
+  isa::Opcode op = isa::Opcode::kHalt;
+  isa::FuncUnit unit = isa::FuncUnit::kNone;
+  std::int8_t dest = -1;  // register written in WB, -1 = none
+  std::int8_t src1 = -1;  // registers read in ID/EX, -1 = none
+  std::int8_t src2 = -1;
+  bool secure = false;
+  bool is_load = false;
+  bool is_store = false;
+  bool is_halt = false;
+  bool encodable = true;  // false: fetching it throws isa::encode's error
+};
+
+/// A program's text decoded for the pipeline, indexed by instruction index
+/// (latch pc).  Immutable, so every Pipeline over the same text — a
+/// device's cold and forked runs, on any thread — can share one.
+using DecodedText = std::vector<DecodedInstruction>;
+
+/// Decodes `program`'s text.  Never throws for an unencodable instruction:
+/// that is an error only if it is ever fetched.
+[[nodiscard]] std::shared_ptr<const DecodedText> predecode(
+    const assembler::Program& program);
+
 class Pipeline {
  public:
-  explicit Pipeline(const assembler::Program& program, SimConfig config = {});
+  /// Decodes `program`'s text for this machine alone.
+  explicit Pipeline(const assembler::Program& program, SimConfig config = {})
+      : Pipeline(program, predecode(program), config) {}
+
+  /// Runs `program` over `text`, which must be predecode() of the same
+  /// text (checked by instruction count) — shared, so a caller that runs
+  /// one program many times decodes it once.
+  Pipeline(const assembler::Program& program,
+           std::shared_ptr<const DecodedText> text, SimConfig config);
 
   /// Resumes a captured machine mid-run.  `program` must be the same text
   /// the snapshot was taken from (checked by instruction count); the data
   /// *image* may since have been poked only at addresses the pre-snapshot
   /// prefix never touched — forked runs poke fresh inputs into memory(),
   /// not into the program image.
-  Pipeline(const assembler::Program& program, const Snapshot& snapshot);
+  Pipeline(const assembler::Program& program, const Snapshot& snapshot)
+      : Pipeline(program, predecode(program), snapshot) {}
+
+  /// Resumes a captured machine over a shared decoded `text`, as above.
+  Pipeline(const assembler::Program& program,
+           std::shared_ptr<const DecodedText> text, const Snapshot& snapshot);
 
   /// Advances one clock.  Sets `activity`'s flags for what happened and
   /// the payloads those flags gate; payloads under a clear flag keep stale
@@ -147,31 +190,13 @@ class Pipeline {
   using ExMem = ExMemLatch;
   using MemWb = MemWbLatch;
 
-  /// One text instruction with everything step() asks of it, resolved once
-  /// per Pipeline: the fetch word and the register, unit and flag lookups
-  /// the stage, hazard and forwarding logic would otherwise redo per cycle.
-  struct Decoded {
-    std::uint64_t encoded = 0;  // 33-bit fetch word
-    std::int32_t imm = 0;
-    isa::Opcode op = isa::Opcode::kHalt;
-    isa::FuncUnit unit = isa::FuncUnit::kNone;
-    std::int8_t dest = -1;  // register written in WB, -1 = none
-    std::int8_t src1 = -1;  // registers read in ID/EX, -1 = none
-    std::int8_t src2 = -1;
-    bool secure = false;
-    bool is_load = false;
-    bool is_store = false;
-    bool is_halt = false;
-    bool encodable = true;  // false: fetching it throws isa::encode's error
-  };
-
-  [[nodiscard]] static std::vector<Decoded> predecode(
-      const assembler::Program& program);
+  using Decoded = DecodedInstruction;
 
   [[nodiscard]] std::uint32_t forwarded(int r, std::uint32_t id_value) const;
 
   const assembler::Program& program_;
-  std::vector<Decoded> text_;  // indexed by instruction index (latch pc)
+  std::shared_ptr<const DecodedText> decoded_;  // keeps text_ alive
+  std::span<const Decoded> text_;               // *decoded_, for step()
   SimConfig config_;
   DataMemory dmem_;
 
