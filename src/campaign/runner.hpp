@@ -45,7 +45,8 @@ namespace emask::campaign {
 
 struct RunnerOptions {
   std::string out_dir;
-  /// Worker threads per scenario batch; 0 = hardware concurrency.
+  /// Worker threads per scenario batch (BatchConfig::threads); 0 = one
+  /// capture thread per core.
   std::size_t jobs = 0;
   /// Reuse checkpoints from a previous (interrupted) run.
   bool resume = false;

@@ -114,8 +114,8 @@ struct SessionConfig {
   /// amortization: every block runs cold and no prefix is credited.
   hiding::Countermeasure policy = compiler::Policy::kSelective;
   energy::TechParams params = energy::TechParams::smartcard_025um();
-  /// Worker threads for block capture (0 = hardware concurrency).  Any
-  /// value produces bit-identical results.
+  /// Worker threads for block capture (BatchConfig::threads: 0 = one
+  /// capture thread per core).  Any value produces bit-identical results.
   std::size_t threads = 1;
   /// Additive Gaussian measurement noise per block trace (pJ rms), seeded
   /// per block index.
@@ -160,7 +160,7 @@ struct SessionResult {
   std::vector<std::uint64_t> output;  // ciphertext (encrypt) or plaintext
   std::vector<BlockResult> blocks;
   std::size_t stages = 1;        // DES passes per block actually simulated
-  std::size_t threads_used = 0;  // capture workers (BatchStats::threads_used)
+  std::size_t threads_used = 0;  // capture threads (BatchStats::threads_used)
   /// Amortization accounting, pure cycle math (the same whether blocks
   /// fork or run cold).  A cold session pays the key-schedule prefix on every
   /// block of every stage; the hoisted session pays it once per stage.

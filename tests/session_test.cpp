@@ -540,7 +540,8 @@ TEST(SessionCampaign, AttackDisclosureIsByteIdenticalAcrossJobs) {
 
 TEST(SessionCampaign, TimingsReportTheWorkersActuallyUsed) {
   // jobs = 0 means "every core", capped at the session length by the
-  // capture batches; timings.json must report that count, never 0.
+  // capture batches; jobs = 2 is two workers plus the calling thread.
+  // timings.json must report the capture threads, never 0.
   const campaign::CampaignSpec spec = campaign::CampaignSpec::parse(
       "[campaign]\nname = session_threads\n[axes]\n"
       "policy = original\ncipher = des_cbc\nanalysis = energy\n"
@@ -558,7 +559,7 @@ TEST(SessionCampaign, TimingsReportTheWorkersActuallyUsed) {
     const util::JsonValue timings =
         util::parse_json(read_file(fs::path(options.out_dir) / "timings.json"));
     const std::size_t expected = jobs == 0 ? std::min<std::size_t>(cores, 4)
-                                           : jobs;
+                                           : jobs + 1;
     EXPECT_EQ(timings.at("scenarios").array.at(0).at("threads").as_u64(),
               expected)
         << "jobs " << jobs;
