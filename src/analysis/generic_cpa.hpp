@@ -5,11 +5,12 @@
 // sufficient statistics for the Pearson correlation between hypothesis and
 // measured energy at every cycle, per guess.  DES (64 subkey guesses) and
 // AES (256 key-byte guesses) attacks are thin wrappers over this, and the
-// shared TraceWindow / accumulate_window / margin helpers below carry the
-// windowed-accumulation idiom into the mean-based attacks (DPA, collision)
-// without a third copy of the inner loops.
+// shared TraceWindow / TraceRing / accumulate_window / margin helpers
+// below carry the windowed-accumulation idiom into the mean-based attacks
+// (DPA, collision) without a third copy of the bookkeeping.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -44,6 +45,61 @@ class TraceWindow {
   std::size_t admitted_ = 0;
 };
 
+/// The last kRing admitted trace windows, drained into an attack's
+/// per-cycle accumulators by a staggered, tiled fold.  The window is cut
+/// into kRing cycle tiles; admitting trace n folds tile n % kRing forward
+/// over every ring trace that tile has not absorbed yet, in trace order.
+/// Every accumulator cell therefore receives exactly the additions a
+/// per-trace loop makes, in the same order (the same bits), but each
+/// accumulator line is read and written once per kRing traces instead of
+/// once per trace.  Each tile is folded at every kRing-th admission, so
+/// by the time trace n + kRing reuses trace n's slot every tile has
+/// absorbed trace n, and the per-trace cost stays even (no burst).
+/// Readers (solve) call fold_all first.
+class TraceRing {
+ public:
+  static constexpr std::size_t kRing = 8;
+
+  /// Sizes the ring for `width`-cycle windows; called on the first trace.
+  void reset(std::size_t width);
+
+  /// Copies the next trace's window into its slot; returns its index n.
+  std::size_t push(const Trace& trace, std::size_t begin);
+
+  /// Trace n's window; n must be one of the last kRing pushed.
+  [[nodiscard]] const double* window(std::size_t n) const {
+    return windows_.data() + (n % kRing) * width_;
+  }
+
+  /// Folds the newest trace's tile forward (the staggered per-trace step).
+  /// `fold(cycle_begin, cycle_end, first, last)` must add ring traces
+  /// [first, last), in order, into cycles [cycle_begin, cycle_end).
+  template <typename Fold>
+  void fold_step(Fold&& fold) {
+    fold_tile((pushed_ - 1) % kRing, fold);
+  }
+
+  /// Folds every tile forward to the newest trace.
+  template <typename Fold>
+  void fold_all(Fold&& fold) {
+    for (std::size_t tile = 0; tile < kRing; ++tile) fold_tile(tile, fold);
+  }
+
+ private:
+  template <typename Fold>
+  void fold_tile(std::size_t tile, Fold& fold) {
+    const std::size_t first = folded_[tile];
+    if (first == pushed_) return;
+    fold(tile * width_ / kRing, (tile + 1) * width_ / kRing, first, pushed_);
+    folded_[tile] = pushed_;
+  }
+
+  std::vector<double> windows_;              // [slot * width + cycle]
+  std::array<std::size_t, kRing> folded_{};  // traces each tile absorbed
+  std::size_t width_ = 0;
+  std::size_t pushed_ = 0;
+};
+
 /// sums[i] += trace[begin + i] for i in [0, width): the windowed
 /// accumulation inner loop shared by the mean-based attacks.
 void accumulate_window(const Trace& trace, std::size_t begin,
@@ -68,6 +124,9 @@ struct GenericCpaResult {
   [[nodiscard]] double margin() const;
 };
 
+/// Memory: the per-cycle sums (width x (num_guesses + 2) doubles) plus a
+/// TraceRing of kRing windows and their hypotheses; add_trace folds one
+/// cycle tile per trace and solve() folds the traces still outstanding.
 class GenericCpa {
  public:
   /// `signed_correlation`: score each guess by its maximum *signed* rho
@@ -93,15 +152,30 @@ class GenericCpa {
   [[nodiscard]] std::vector<double> correlation_series(int guess) const;
 
  private:
+  /// Adds ring traces [first, last) into cycles [begin, end) of the sums.
+  void fold(std::size_t begin, std::size_t end, std::size_t first,
+            std::size_t last) const;
+  /// Folds every ring trace not yet absorbed (before reading the sums).
+  void fold_all() const;
+
   int num_guesses_;
   TraceWindow window_;
   bool signed_correlation_;
   std::size_t traces_ = 0;
-  std::vector<double> sum_t_;
-  std::vector<double> sum_t2_;
   std::vector<double> sum_h_;   // [guess]
   std::vector<double> sum_h2_;  // [guess]
-  std::vector<double> sum_ht_;  // [cycle * num_guesses + guess]
+  // The per-cycle sums and the ring still owing them traces.  solve() and
+  // correlation_series() fold the outstanding traces in first, so they
+  // write this state though const: a GenericCpa has one consumer, and no
+  // call on it may overlap another.
+  struct Accumulators {
+    TraceRing ring;
+    std::vector<double> hyp;     // [slot * num_guesses + guess]
+    std::vector<double> sum_t;   // [cycle]
+    std::vector<double> sum_t2;  // [cycle]
+    std::vector<double> sum_ht;  // [cycle * num_guesses + guess]
+  };
+  mutable Accumulators acc_;
 };
 
 }  // namespace emask::analysis

@@ -287,7 +287,15 @@ class Assembler {
     }
   }
 
+  /// Emits one instruction.  Every instruction is checked for
+  /// encodability here, pseudo-op expansions included, so a layout error
+  /// (a branch offset out of range, say) carries its source line.
   void push(const Instruction& inst, int line) {
+    try {
+      (void)isa::encode(inst);
+    } catch (const std::invalid_argument& e) {
+      throw AsmError(line, e.what());
+    }
     prog_.text.push_back(inst);
     prog_.text_locs.push_back(SourceLoc{line});
   }
@@ -524,12 +532,6 @@ class Assembler {
           inst = Instruction{op, 0, 0, 0, 0, false};
           break;
         }
-      }
-      // Validate encodability early so layout errors carry a source line.
-      try {
-        (void)isa::encode(inst);
-      } catch (const std::invalid_argument& e) {
-        throw AsmError(st.line, e.what());
       }
       push(inst, st.line);
     }

@@ -47,7 +47,12 @@ MaskingPipeline MaskingPipeline::des(const hiding::Countermeasure& policy,
 MaskingPipeline MaskingPipeline::from_source(const std::string& source,
                                              const hiding::Countermeasure& policy,
                                              const energy::TechParams& params) {
-  assembler::Program program = assembler::assemble(source);
+  return from_program(assembler::assemble(source), policy, params);
+}
+
+MaskingPipeline MaskingPipeline::from_program(
+    const assembler::Program& program, const hiding::Countermeasure& policy,
+    const energy::TechParams& params) {
   if (policy.hiding == hiding::HidingPolicy::kShuffleNop &&
       !des::has_nop_table(program)) {
     throw std::invalid_argument(

@@ -123,6 +123,11 @@ class MaskingPipeline {
       const std::string& source, const hiding::Countermeasure& policy,
       const energy::TechParams& params = energy::TechParams::smartcard_025um());
 
+  /// from_source over an already assembled program.
+  static MaskingPipeline from_program(
+      const assembler::Program& program, const hiding::Countermeasure& policy,
+      const energy::TechParams& params = energy::TechParams::smartcard_025um());
+
   /// The run primitive: simulates `request` (see RunRequest) and returns
   /// its trace, breakdown, counters and — for a DES run to halt — cipher.
   /// Throws std::invalid_argument on a request that mixes an image or an

@@ -59,8 +59,11 @@ MipsSlot slot_of(Opcode op) {
   throw std::invalid_argument("slot_of: bad opcode");
 }
 
-void require_imm16(std::int32_t imm, const char* what) {
-  if (imm < -32768 || imm > 65535) {
+/// `max` is 65535 where the field may hold an unsigned value and 32767
+/// where it decodes sign-extended only (branch offsets).
+void require_imm16(std::int32_t imm, const char* what,
+                   std::int32_t max = 65535) {
+  if (imm < -32768 || imm > max) {
     throw std::invalid_argument(std::string(what) +
                                 ": immediate out of 16-bit range: " +
                                 std::to_string(imm));
@@ -96,7 +99,7 @@ EncodedWord encode(const Instruction& inst) {
               field_imm16(inst.imm);
       break;
     case Format::kBranch:
-      require_imm16(inst.imm, "encode branch");
+      require_imm16(inst.imm, "encode branch", 32767);
       if (slot.primary == kRegimm) {
         word |= (std::uint32_t{inst.rs} << 21) | (slot.regimm_rt << 16) |
                 field_imm16(inst.imm);

@@ -257,6 +257,30 @@ TEST(Assembler, OutOfRangeImmediateRejected) {
   EXPECT_THROW(assemble("main:\n  sll $t0, $t1, 40\n"), AsmError);
 }
 
+// Pseudo-op expansions are range-checked like real mnemonics: a `b` whose
+// offset does not fit the branch immediate is an AsmError on its own line,
+// not an unencodable beq that fails only when a run fetches it.
+TEST(Assembler, OutOfRangePseudoOpBranchRejected) {
+  try {
+    (void)assemble("main:\n  nop\n  b 70000\n  halt\n");
+    FAIL() << "expected AsmError";
+  } catch (const AsmError& e) {
+    EXPECT_EQ(e.line(), 3);
+    EXPECT_NE(std::string(e.what()).find("out of 16-bit range"),
+              std::string::npos)
+        << e.what();
+  }
+  // A label 40,000 instructions ahead is past the 32,767 reach too; one
+  // 30,000 ahead is within it.
+  const auto skip = [](int nops) {
+    std::string src = "main:\n  b end\n";
+    for (int i = 0; i < nops; ++i) src += "  nop\n";
+    return src + "end:\n  halt\n";
+  };
+  EXPECT_THROW(assemble(skip(40000)), AsmError);
+  EXPECT_EQ(assemble(skip(30000)).text.size(), 30002u);
+}
+
 // Property: every instruction the generators can produce prints (via
 // to_string) in a form the assembler parses back to the identical
 // instruction — listings from `emask-run --listing` are valid input again.

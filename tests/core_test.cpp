@@ -313,11 +313,11 @@ TEST(SnapshotFork, ForkRequestsMustBeColdCompatible) {
 
 // Every run of a device borrows its once-decoded text, so an unencodable
 // instruction must still fail only when a run fetches it — here on the
-// forked path, after the shared prefix.  The assembler range-checks real
-// mnemonics only, so the pseudo-op `b` with an out-of-range numeric offset
-// is how such an instruction reaches a device.
+// forked path, after the shared prefix.  The assembler rejects every
+// unencodable instruction, so the test patches one into the assembled
+// program, in the slot before `halt`.
 TEST(SnapshotFork, ForkedRunFetchingAnUnencodableInstructionThrows) {
-  const auto p = MaskingPipeline::from_source(R"(
+  assembler::Program program = assembler::assemble(R"(
 .data
 key: .space 256
 plain: .space 256
@@ -331,10 +331,13 @@ main:
   nop
   nop
   nop
-  b 70000
+  nop
   halt
-)",
-                                              compiler::Policy::kOriginal);
+)");
+  program.text[program.text.size() - 2] =
+      isa::make_branch(isa::Opcode::kBeq, isa::kZero, isa::kZero, 70000);
+  const auto p =
+      MaskingPipeline::from_program(program, compiler::Policy::kOriginal);
   const DesSnapshot snap = p.snapshot_des(kKey);
   try {
     (void)p.run_des_from(snap, kPlain);

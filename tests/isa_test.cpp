@@ -207,6 +207,11 @@ TEST(Encoding, OutOfRangeFieldsThrow) {
   EXPECT_THROW((void)encode(make_jump(Opcode::kJ, 1 << 26)), std::invalid_argument);
   EXPECT_THROW((void)encode(make_branch(Opcode::kBeq, 1, 2, -40000)),
                std::invalid_argument);
+  // A branch offset decodes sign-extended, so +32768 would come back as
+  // -32768: only the signed range is encodable.
+  EXPECT_THROW((void)encode(make_branch(Opcode::kBeq, 1, 2, 32768)),
+               std::invalid_argument);
+  EXPECT_EQ(decode(encode(make_branch(Opcode::kBeq, 1, 2, 32767))).imm, 32767);
 }
 
 TEST(Encoding, UnknownPatternsThrow) {
