@@ -17,6 +17,7 @@
 #include <chrono>
 #include <thread>
 
+#include "analysis/trace_io.hpp"
 #include "bench_common.hpp"
 #include "core/batch_runner.hpp"
 #include "util/csv.hpp"
@@ -30,6 +31,18 @@ constexpr std::size_t kTraces = 24;
 constexpr std::uint64_t kWindowEnd = 6000;  // round-1 window prefix
 constexpr std::uint64_t kSeed = 0xBA7C4;
 constexpr std::size_t kForkTraces = 12;  // full traces for the fork series
+
+/// The whole batch of `count` bench inputs, in index order.
+analysis::TraceSet capture_all(core::BatchRunner& runner, std::size_t count) {
+  analysis::TraceSet set;
+  runner.capture_each(
+      count, core::random_plaintexts(bench::kKey, kSeed),
+      [&set](std::size_t, const core::BatchInput& in,
+             core::EncryptionRun& run) {
+        set.add(in.plaintext, std::move(run.trace));
+      });
+  return set;
+}
 
 bool identical(const analysis::TraceSet& a, const analysis::TraceSet& b) {
   if (a.size() != b.size() || a.inputs != b.inputs) return false;
@@ -81,7 +94,7 @@ int main() {
     bc.stop_after_cycles = kWindowEnd;
     core::BatchRunner runner(device, bc);
     const analysis::TraceSet set =
-        runner.capture(kTraces, core::random_plaintexts(bench::kKey, kSeed));
+        capture_all(runner, kTraces);
     const core::BatchStats& stats = runner.stats();
     const bool same = identical(set, reference);
     all_identical &= same;
@@ -121,7 +134,7 @@ int main() {
   };
   core::BatchRunner cold(forkable, cold_bc);
   const analysis::TraceSet cold_set =
-      cold.capture(kForkTraces, core::random_plaintexts(bench::kKey, kSeed));
+      capture_all(cold, kForkTraces);
   const double cold_wall = cold.stats().wall_seconds;
   const std::uint64_t trace_cycles = cold.stats().total_cycles;
 
@@ -138,8 +151,7 @@ int main() {
     core::BatchConfig fork_bc;
     fork_bc.threads = threads;
     core::BatchRunner forked(forkable, fork_bc);
-    const analysis::TraceSet set = forked.capture(
-        kForkTraces, core::random_plaintexts(bench::kKey, kSeed));
+    const analysis::TraceSet set = capture_all(forked, kForkTraces);
     const bool same = identical(set, cold_set);
     fork_identical &= same;
     prefix_cycles = forked.stats().snapshot_prefix_cycles;

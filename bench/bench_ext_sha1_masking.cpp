@@ -12,7 +12,6 @@
 #include "bench_common.hpp"
 #include "compiler/masking.hpp"
 #include "sha/asm_generator.hpp"
-#include "sha/sha1.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 

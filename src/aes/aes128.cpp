@@ -38,8 +38,6 @@ const Tables& tables() {
   return t;
 }
 
-std::uint8_t gmul(std::uint8_t a, std::uint8_t b) { return gf_mul(a, b); }
-
 void add_round_key(Block& s, const KeySchedule& ks, int round) {
   for (int i = 0; i < 16; ++i) {
     s[static_cast<std::size_t>(i)] ^=
@@ -49,10 +47,6 @@ void add_round_key(Block& s, const KeySchedule& ks, int round) {
 
 void sub_bytes(Block& s) {
   for (auto& b : s) b = sbox(b);
-}
-
-void inv_sub_bytes(Block& s) {
-  for (auto& b : s) b = inv_sbox(b);
 }
 
 // State layout: s[r + 4c] (column-major, FIPS Fig. 3).
@@ -67,17 +61,6 @@ void shift_rows(Block& s) {
   s = out;
 }
 
-void inv_shift_rows(Block& s) {
-  Block out;
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      out[static_cast<std::size_t>(r + 4 * ((c + r) % 4))] =
-          s[static_cast<std::size_t>(r + 4 * c)];
-    }
-  }
-  s = out;
-}
-
 void mix_columns(Block& s) {
   for (int c = 0; c < 4; ++c) {
     std::uint8_t* col = &s[static_cast<std::size_t>(4 * c)];
@@ -87,21 +70,6 @@ void mix_columns(Block& s) {
     col[1] = static_cast<std::uint8_t>(a1 ^ t ^ xtime(static_cast<std::uint8_t>(a1 ^ a2)));
     col[2] = static_cast<std::uint8_t>(a2 ^ t ^ xtime(static_cast<std::uint8_t>(a2 ^ a3)));
     col[3] = static_cast<std::uint8_t>(a3 ^ t ^ xtime(static_cast<std::uint8_t>(a3 ^ a0)));
-  }
-}
-
-void inv_mix_columns(Block& s) {
-  for (int c = 0; c < 4; ++c) {
-    std::uint8_t* col = &s[static_cast<std::size_t>(4 * c)];
-    const std::uint8_t a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-    col[0] = static_cast<std::uint8_t>(gmul(a0, 14) ^ gmul(a1, 11) ^
-                                       gmul(a2, 13) ^ gmul(a3, 9));
-    col[1] = static_cast<std::uint8_t>(gmul(a0, 9) ^ gmul(a1, 14) ^
-                                       gmul(a2, 11) ^ gmul(a3, 13));
-    col[2] = static_cast<std::uint8_t>(gmul(a0, 13) ^ gmul(a1, 9) ^
-                                       gmul(a2, 14) ^ gmul(a3, 11));
-    col[3] = static_cast<std::uint8_t>(gmul(a0, 11) ^ gmul(a1, 13) ^
-                                       gmul(a2, 9) ^ gmul(a3, 14));
   }
 }
 
@@ -164,22 +132,6 @@ Block encrypt_block(const Block& plaintext, const Key& key) {
   sub_bytes(s);
   shift_rows(s);
   add_round_key(s, ks, 10);
-  return s;
-}
-
-Block decrypt_block(const Block& ciphertext, const Key& key) {
-  const KeySchedule ks = expand_key(key);
-  Block s = ciphertext;
-  add_round_key(s, ks, 10);
-  inv_shift_rows(s);
-  inv_sub_bytes(s);
-  for (int round = 9; round >= 1; --round) {
-    add_round_key(s, ks, round);
-    inv_mix_columns(s);
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-  }
-  add_round_key(s, ks, 0);
   return s;
 }
 

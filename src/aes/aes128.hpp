@@ -20,10 +20,10 @@ struct KeySchedule {
   std::array<std::uint8_t, 176> bytes;
 };
 
+/// Golden AES-128.  Bench and example API: no tool links it.
 [[nodiscard]] KeySchedule expand_key(const Key& key);
 
 [[nodiscard]] Block encrypt_block(const Block& plaintext, const Key& key);
-[[nodiscard]] Block decrypt_block(const Block& ciphertext, const Key& key);
 
 /// Forward S-box (exposed: tables for the assembly generator and the
 /// attacker's hypothesis engine).
@@ -33,7 +33,8 @@ struct KeySchedule {
 /// GF(2^8) doubling (xtime), the MixColumns primitive.
 [[nodiscard]] std::uint8_t xtime(std::uint8_t x);
 
-/// GF(2^8) multiplication (used by InvMixColumns: factors 9, 11, 13, 14).
+/// GF(2^8) multiplication (the decryption program's InvMixColumns tables:
+/// factors 9, 11, 13, 14).
 [[nodiscard]] std::uint8_t gf_mul(std::uint8_t a, std::uint8_t b);
 
 }  // namespace emask::aes

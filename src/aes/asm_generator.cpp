@@ -460,10 +460,6 @@ std::string generate_aes_asm(const Key& key, const Block& plaintext,
   return os.str();
 }
 
-void poke_key(assembler::Program& program, const Key& key) {
-  poke_byte_words(program, "key", key.data(), 16);
-}
-
 void poke_plaintext(assembler::Program& program, const Block& plaintext) {
   poke_byte_words(program, "plain", plaintext.data(), 16);
 }

@@ -30,8 +30,8 @@ struct AesAsmOptions {
                                            const Block& plaintext,
                                            const AesAsmOptions& options = {});
 
-void poke_key(assembler::Program& program, const Key& key);
 void poke_plaintext(assembler::Program& program, const Block& plaintext);
+/// Bench and example API: no tool links it.
 [[nodiscard]] Block read_cipher(const sim::DataMemory& memory,
                                 const assembler::Program& program);
 

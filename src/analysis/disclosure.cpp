@@ -73,12 +73,6 @@ std::size_t DisclosureCurve::traces_to_disclosure(int guess) const {
   return disclosed_at;
 }
 
-int DisclosureCurve::final_rank(int guess) const {
-  const auto g = static_cast<std::size_t>(guess);
-  if (checkpoints_.empty() || guess < 0 || g >= num_guesses_) return -1;
-  return checkpoints_.back().ranks[g];
-}
-
 void DisclosureCurve::write_csv(const std::string& path) const {
   util::CsvWriter csv(path);
   csv.write_header({"traces", "guess", "rank", "score"});

@@ -55,10 +55,8 @@ class DisclosureCurve {
   /// Earliest checkpoint trace count from which `guess` holds rank 0
   /// through the last checkpoint; 0 when the guess never stabilizes at
   /// rank 0 (not disclosed within the acquisition).
+  /// Bench and example API: no tool links it.
   [[nodiscard]] std::size_t traces_to_disclosure(int guess) const;
-
-  /// Rank of `guess` at the last checkpoint; -1 with no checkpoints.
-  [[nodiscard]] int final_rank(int guess) const;
 
   [[nodiscard]] const std::vector<DisclosureCheckpoint>& checkpoints() const {
     return checkpoints_;

@@ -95,8 +95,9 @@ class MlpaAttack {
  public:
   explicit MlpaAttack(const MlpaConfig& config);
 
-  /// The selection function: parity(in_mask & e) for the public round-1
-  /// expanded-input chunk e of `sbox` (exposed for tests).
+  /// Test hook (the scalar reference for the bitsliced parity plane): the
+  /// selection function parity(in_mask & e) for the public round-1
+  /// expanded-input chunk e of `sbox`.
   [[nodiscard]] static int selection_parity(std::uint64_t plaintext, int sbox,
                                             int in_mask);
 

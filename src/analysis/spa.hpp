@@ -19,6 +19,7 @@ struct SpaResult {
   int repetitions = 0;           // how many whole periods fit in the trace
 };
 
+/// Bench and example API: no tool links it.
 /// Finds the strongest repeating period of `trace` in
 /// [min_period, max_period] by normalized autocorrelation.
 [[nodiscard]] SpaResult detect_rounds(const Trace& trace,
@@ -26,6 +27,7 @@ struct SpaResult {
                                       std::size_t max_period);
 
 /// Normalized autocorrelation of the trace at a fixed lag.
+/// Bench and example API: no tool links it.
 [[nodiscard]] double autocorrelation(const Trace& trace, std::size_t lag);
 
 }  // namespace emask::analysis

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/csv.hpp"
-
 namespace emask::analysis {
 
 double Trace::total_uj() const {
@@ -60,24 +58,6 @@ Trace NoiseModel::apply(const Trace& trace) {
     out[i] = trace[i] + sigma_pj_ * rng_.next_gaussian();
   }
   return Trace(std::move(out));
-}
-
-void write_traces_csv(const std::string& path,
-                      const std::vector<std::string>& names,
-                      const std::vector<const Trace*>& traces) {
-  util::CsvWriter csv(path);
-  std::vector<std::string> header{"cycle"};
-  header.insert(header.end(), names.begin(), names.end());
-  csv.write_header(header);
-  std::size_t n = 0;
-  for (const Trace* t : traces) n = std::max(n, t->size());
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> row{static_cast<double>(i)};
-    for (const Trace* t : traces) {
-      row.push_back(i < t->size() ? (*t)[i] : 0.0);
-    }
-    csv.write_row(row);
-  }
 }
 
 }  // namespace emask::analysis

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -29,6 +28,8 @@ class Trace {
 
   /// Mean energy per cycle, in picojoules.
   [[nodiscard]] double mean_pj() const;
+
+  // Bench and example API below: no tool links it.
 
   /// Pointwise difference (this - other) over the common prefix — the
   /// "difference between energy consumption profiles" of Figures 7-11.
@@ -63,10 +64,5 @@ class NoiseModel {
   double sigma_pj_;
   util::Rng rng_;
 };
-
-/// Writes traces as CSV (cycle, value ...), one column per trace.
-void write_traces_csv(const std::string& path,
-                      const std::vector<std::string>& names,
-                      const std::vector<const Trace*>& traces);
 
 }  // namespace emask::analysis

@@ -28,23 +28,6 @@ T read_pod(std::ifstream& in, const std::string& path) {
 
 }  // namespace
 
-void save_trace_set(const std::string& path, const TraceSet& set) {
-  const std::size_t len = set.traces.empty() ? 0 : set.traces.front().size();
-  for (const Trace& t : set.traces) {
-    if (t.size() != len) {
-      throw std::runtime_error("trace set: traces must share a length");
-    }
-  }
-  if (set.inputs.size() != set.traces.size()) {
-    throw std::runtime_error("trace set: inputs/traces size mismatch");
-  }
-  TraceSetWriter writer(path, set.traces.size());
-  for (std::size_t i = 0; i < set.traces.size(); ++i) {
-    writer.append(set.inputs[i], set.traces[i]);
-  }
-  writer.close();
-}
-
 TraceSet load_trace_set(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("trace set: cannot open " + path);

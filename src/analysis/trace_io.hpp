@@ -29,10 +29,6 @@ struct TraceSet {
   }
 };
 
-/// Writes the set; throws std::runtime_error on IO failure or if the
-/// traces are not all the same length.
-void save_trace_set(const std::string& path, const TraceSet& set);
-
 /// Reads a set; throws std::runtime_error on IO failure, bad magic,
 /// unsupported version, a header that does not match the file's actual
 /// size (truncation, trailing bytes, or a corrupted count), or short

@@ -16,13 +16,6 @@ const DataSymbol* Program::find_symbol(const std::string& name) const {
   return nullptr;
 }
 
-const DataSymbol* Program::symbol_at(std::uint32_t address) const {
-  for (const DataSymbol& s : symbols) {
-    if (address >= s.address && address < s.address + s.size_bytes) return &s;
-  }
-  return nullptr;
-}
-
 std::uint32_t Program::initial_word(std::uint32_t addr) const {
   if (addr < kDataBase || addr + 4 > kDataBase + data.size()) {
     throw std::out_of_range("Program::initial_word: address outside image");

@@ -66,11 +66,9 @@ class Program {
   /// Looks up a data symbol by name.
   [[nodiscard]] const DataSymbol* find_symbol(const std::string& name) const;
 
-  /// Finds the data symbol covering an absolute byte address, if any.
-  [[nodiscard]] const DataSymbol* symbol_at(std::uint32_t address) const;
-
   /// Initial 32-bit little-endian word at absolute byte address `addr`
   /// (must lie fully inside the data image).
+  /// Bench and example API: no tool links it.
   [[nodiscard]] std::uint32_t initial_word(std::uint32_t addr) const;
 
   /// Overwrites a 32-bit word of the initial data image (used to plug a key

@@ -45,11 +45,11 @@ void sbox_planes(int sbox, const Word x[6], Word out[4]);
 [[nodiscard]] std::uint8_t round1_six(std::uint64_t plaintext, int sbox);
 
 /// Transposes 64 plaintexts into 64 bit-planes (planes[b] bit l = bit b
-/// of pts[l]).
+/// of pts[l]).  Bench and example API: no tool links it.
 void plaintext_planes(const std::uint64_t pts[64], Word planes[64]);
 
 /// Selects the six input planes feeding `sbox` out of a transposed
-/// plaintext block.
+/// plaintext block.  Bench and example API: no tool links it.
 void six_planes_from(const Word pt_planes[64], int sbox, Word x[6]);
 
 /// Row mode: row[g] = popcount(S(six ^ g)) for all 64 guesses — the CPA
@@ -63,6 +63,7 @@ void dpa_hypothesis_row(int sbox, int bit, std::uint8_t six,
 
 /// Block mode: matrix[p][g] = popcount(S(e_p ^ g)) for 64 plaintexts and
 /// all 64 guesses (one transpose + 64 sliced evaluations).
+/// Bench and example API: no tool links it.
 void cpa_hypothesis_block(int sbox, const std::uint64_t pts[64],
                           std::array<std::array<int, 64>, 64>& matrix);
 

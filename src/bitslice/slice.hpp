@@ -34,6 +34,7 @@ constexpr std::array<Word, 6> kLaneIndex = {
 /// columns): after the call, bit l of a[b] is what bit b of a[l] was.
 /// Turns 64 values (one per word) into 64 bit-planes (one per word) and
 /// back — the layout conversion at the edge of every sliced computation.
+/// Bench and example API: no tool links it.
 void transpose64(Word a[64]);
 
 /// Evaluates an n-input boolean function given as a 2^n-bit truth table

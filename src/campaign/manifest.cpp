@@ -7,6 +7,7 @@
 
 #include "util/argparse.hpp"
 #include "util/csv.hpp"
+#include "util/fsio.hpp"
 #include "util/ini.hpp"
 #include "util/json.hpp"
 
@@ -85,8 +86,23 @@ std::string scenario_disclosure_path(const std::string& id) {
   return "scenarios/" + id + "/disclosure.csv";
 }
 
-std::string scenario_result_path(const std::string& id) {
-  return "scenarios/" + id + "/result.csv";
+void claim_output_dir(const std::string& out_dir, const CampaignSpec& spec) {
+  const std::string spec_copy =
+      (std::filesystem::path(out_dir) / "spec.ini").string();
+  if (std::filesystem::exists(spec_copy)) {
+    const std::string existing = fnv1a_hex(util::read_text_file(spec_copy));
+    if (existing != spec.hash) {
+      throw SpecError(out_dir +
+                      " already holds a different campaign (spec hash " +
+                      existing + " != " + spec.hash +
+                      "); use a fresh --out directory");
+    }
+    return;
+  }
+  std::ofstream copy(spec_copy);
+  copy << spec.text;
+  copy.flush();
+  if (!copy) throw std::runtime_error("cannot write " + spec_copy);
 }
 
 std::string scenario_artifact_path(const std::string& id, Analysis a) {

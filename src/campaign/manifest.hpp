@@ -141,7 +141,6 @@ struct PolicyRollup {
 
 /// Artifact paths relative to a campaign output directory — the layout
 /// contract consumers (the report layer) join against.
-[[nodiscard]] std::string scenario_result_path(const std::string& id);
 [[nodiscard]] std::string scenario_artifact_path(const std::string& id,
                                                  Analysis a);
 [[nodiscard]] std::string scenario_disclosure_path(const std::string& id);
@@ -149,5 +148,11 @@ struct PolicyRollup {
 /// key-schedule amortization accounting.
 [[nodiscard]] std::string scenario_blocks_path(const std::string& id);
 [[nodiscard]] std::string scenario_session_path(const std::string& id);
+
+/// The one-spec-per-directory guard of `run` and `merge`: writes the spec
+/// text to `out_dir`/spec.ini or, when that file exists, throws SpecError
+/// unless it holds the same spec.  Throws std::runtime_error when the copy
+/// cannot be read or written.
+void claim_output_dir(const std::string& out_dir, const CampaignSpec& spec);
 
 }  // namespace emask::campaign

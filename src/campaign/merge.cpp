@@ -2,10 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
-#include <sstream>
 
+#include "util/fsio.hpp"
 #include "util/json.hpp"
 
 namespace emask::campaign {
@@ -13,17 +12,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string read_text(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw SpecError("cannot read " + path.string());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 util::JsonValue parse_json_file(const fs::path& path) {
   try {
-    return util::parse_json(read_text(path));
+    return util::parse_json(util::read_text_file(path));
   } catch (const util::JsonError& e) {
     throw util::JsonError(path.string() + ": " + e.what());
   }
@@ -88,26 +79,6 @@ std::vector<ShardManifest> load_shard_manifests(const fs::path& dir,
   return found;
 }
 
-/// Copies the spec into the merged directory with the same one-spec-per-
-/// directory guard the runner applies.
-void place_spec_copy(const fs::path& out, const CampaignSpec& spec) {
-  const fs::path spec_copy = out / "spec.ini";
-  if (fs::exists(spec_copy)) {
-    const std::string existing = fnv1a_hex(read_text(spec_copy));
-    if (existing != spec.hash) {
-      throw SpecError(out.string() +
-                      " already holds a different campaign (spec hash " +
-                      existing + " != " + spec.hash +
-                      "); use a fresh --out directory");
-    }
-    return;
-  }
-  std::ofstream copy(spec_copy);
-  copy << spec.text;
-  copy.flush();
-  if (!copy) throw std::runtime_error("cannot write " + spec_copy.string());
-}
-
 /// Folds per-scenario wall-clock data from the shard timings files into
 /// the outcomes; returns false (leaving outcomes untouched) when any shard
 /// timings file is absent — timings sit outside the byte-identity
@@ -166,7 +137,8 @@ MergeReport merge_shards(const MergeOptions& options) {
       throw SpecError(dir.string() +
                       ": no spec.ini (not a campaign output directory)");
     }
-    const std::string hash = fnv1a_hex(read_text(dir / "spec.ini"));
+    const std::string hash =
+        fnv1a_hex(util::read_text_file(dir / "spec.ini"));
     if (hash != spec.hash) {
       throw SpecError("spec hash mismatch: " + dir.string() + " has " +
                       hash + ", expected " + spec.hash + " (from " +
@@ -255,7 +227,7 @@ MergeReport merge_shards(const MergeOptions& options) {
 
   const fs::path out(options.out_dir);
   fs::create_directories(out);
-  place_spec_copy(out, spec);
+  claim_output_dir(options.out_dir, spec);
 
   MergeReport report;
   report.shard_count = count;

@@ -4,9 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 
 #include "aes/aes128.hpp"
 #include "aes/asm_generator.hpp"
@@ -775,26 +773,7 @@ CampaignReport CampaignRunner::run() {
   fs::create_directories(out / "scenarios");
   fs::create_directories(out / "checkpoints");
 
-  // Spec guard: an output directory belongs to exactly one spec.
-  const fs::path spec_copy = out / "spec.ini";
-  if (fs::exists(spec_copy)) {
-    std::ifstream in(spec_copy);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (fnv1a_hex(buffer.str()) != spec_.hash) {
-      throw SpecError(options_.out_dir +
-                      " already holds a different campaign (spec hash " +
-                      fnv1a_hex(buffer.str()) + " != " + spec_.hash +
-                      "); use a fresh --out directory");
-    }
-  } else {
-    std::ofstream copy(spec_copy);
-    copy << spec_.text;
-    copy.flush();
-    if (!copy) {
-      throw std::runtime_error("cannot write " + spec_copy.string());
-    }
-  }
+  claim_output_dir(options_.out_dir, spec_);
 
   CampaignReport report;
   report.total_scenarios = scenarios.size();

@@ -220,23 +220,6 @@ void BatchRunner::capture_each(
   finish();
 }
 
-analysis::TraceSet BatchRunner::capture(std::size_t count,
-                                        const InputGenerator& generator) {
-  analysis::TraceSet set;
-  set.inputs.reserve(count);
-  set.traces.reserve(count);
-  capture_each(count, generator,
-               [&](std::size_t, const BatchInput& input, EncryptionRun& run) {
-                 set.add(input.plaintext, std::move(run.trace));
-               });
-  return set;
-}
-
-analysis::TraceSet BatchRunner::capture(const std::vector<BatchInput>& inputs) {
-  return capture(inputs.size(),
-                 [&inputs](std::size_t i) { return inputs[i]; });
-}
-
 InputGenerator random_plaintexts(std::uint64_t key, std::uint64_t seed) {
   return [key, seed](std::size_t i) {
     return BatchInput{key, util::Rng::nth(seed, static_cast<std::uint64_t>(i))};

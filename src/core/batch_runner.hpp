@@ -11,8 +11,8 @@
 //
 // Determinism contract
 // --------------------
-// The captured TraceSet is **bit-identical to a serial capture regardless
-// of thread count**.  Three mechanisms guarantee this:
+// A captured batch is **bit-identical to a serial capture regardless of
+// thread count**.  Three mechanisms guarantee this:
 //
 //   1. every per-encryption input is derived from the batch *index* alone
 //      (explicit input list, or a deterministic per-index generator —
@@ -49,7 +49,6 @@
 #include <functional>
 #include <vector>
 
-#include "analysis/trace_io.hpp"
 #include "core/masking_pipeline.hpp"
 #include "energy/components.hpp"
 
@@ -134,16 +133,8 @@ class BatchRunner {
   explicit BatchRunner(const MaskingPipeline& pipeline,
                        BatchConfig config = {});
 
-  /// Captures one trace per input, in order.
-  [[nodiscard]] analysis::TraceSet capture(
-      const std::vector<BatchInput>& inputs);
-
-  /// Captures `count` traces with per-index generated inputs.
-  [[nodiscard]] analysis::TraceSet capture(std::size_t count,
-                                           const InputGenerator& generator);
-
   /// Streams the batch through `sink(index, input, run)` in strict index
-  /// order with bounded memory — the workhorse behind the other overloads.
+  /// order with bounded memory.
   /// Sink calls are serialized, in index order, on any capture thread
   /// (index 0 on the calling thread); effective_threads(count) threads
   /// are busy.  An exception from the sink or a run stops the batch and

@@ -71,7 +71,8 @@ struct DesAsmOptions {
                                            const DesAsmOptions& options = {});
 
 /// Replaces the 64 bit-words of `key` / `plain` in an assembled program
-/// image (so one assembly + compilation can serve many runs).
+/// image (so one assembly + compilation can serve many runs).  The
+/// program-image poke_plaintext is bench API: no tool links it.
 void poke_key(assembler::Program& program, std::uint64_t key);
 void poke_plaintext(assembler::Program& program, std::uint64_t plaintext);
 
@@ -87,6 +88,7 @@ void poke_plaintext(sim::DataMemory& memory, const assembler::Program& program,
 /// Replaces the 64 bit-words of the `iv` symbol (cbc_chain programs only;
 /// throws std::invalid_argument when the program was generated without
 /// cbc_chain).  Same program-image / live-memory split as poke_plaintext.
+/// The program-image overload is bench API: no tool links it.
 void poke_iv(assembler::Program& program, std::uint64_t iv);
 void poke_iv(sim::DataMemory& memory, const assembler::Program& program,
              std::uint64_t iv);

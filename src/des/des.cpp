@@ -164,20 +164,6 @@ std::uint8_t round1_sbox_input(std::uint64_t plaintext, int s) {
   return static_cast<std::uint8_t>((er >> (42 - 6 * s)) & 0x3F);
 }
 
-RoundState round_state(std::uint64_t plaintext, std::uint64_t key, int round) {
-  const KeySchedule ks = key_schedule(key);
-  const std::uint64_t ip = initial_permutation(plaintext);
-  RoundState st{static_cast<std::uint32_t>(ip >> 32),
-                static_cast<std::uint32_t>(ip & 0xFFFFFFFFu)};
-  for (int m = 0; m < round; ++m) {
-    const std::uint32_t next_r =
-        st.l ^ feistel(st.r, ks.subkeys[static_cast<std::size_t>(m)]);
-    st.l = st.r;
-    st.r = next_r;
-  }
-  return st;
-}
-
 std::uint64_t with_odd_parity(std::uint64_t key) {
   std::uint64_t out = 0;
   for (int byte = 0; byte < 8; ++byte) {

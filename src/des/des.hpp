@@ -77,17 +77,9 @@ struct KeySchedule {
 /// (DPA, CPA, MLPA, collision) xors this with a guessed subkey chunk.
 [[nodiscard]] std::uint8_t round1_sbox_input(std::uint64_t plaintext, int s);
 
-/// L/R halves after `round` (1..16) of encrypting `plaintext` with `key`;
-/// used by the DPA engine to predict intermediate bits.
-struct RoundState {
-  std::uint32_t l = 0;
-  std::uint32_t r = 0;
-};
-[[nodiscard]] RoundState round_state(std::uint64_t plaintext,
-                                     std::uint64_t key, int round);
-
 /// DES with parity bits set correctly on an arbitrary 56-bit value (helper
 /// for workload generators that sweep keys).
+/// Bench and example API: no tool links it.
 [[nodiscard]] std::uint64_t with_odd_parity(std::uint64_t key);
 
 }  // namespace emask::des

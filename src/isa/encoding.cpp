@@ -59,14 +59,32 @@ MipsSlot slot_of(Opcode op) {
   throw std::invalid_argument("slot_of: bad opcode");
 }
 
-/// `max` is 65535 where the field may hold an unsigned value and 32767
-/// where it decodes sign-extended only (branch offsets).
+/// A 16-bit field holds exactly what decode gives back: [-32768, 32767]
+/// where it decodes sign-extended, [0, 65535] where zero-extended.
 void require_imm16(std::int32_t imm, const char* what,
-                   std::int32_t max = 65535) {
-  if (imm < -32768 || imm > max) {
-    throw std::invalid_argument(std::string(what) +
-                                ": immediate out of 16-bit range: " +
-                                std::to_string(imm));
+                   bool zero_extended = false) {
+  const std::int32_t min = zero_extended ? 0 : -32768;
+  const std::int32_t max = zero_extended ? 65535 : 32767;
+  if (imm < min || imm > max) {
+    throw std::invalid_argument(
+        std::string(what) + ": immediate out of " +
+        (zero_extended ? "unsigned " : "") + "16-bit range: " +
+        std::to_string(imm));
+  }
+}
+
+/// andi/ori/xori/lui decode their immediate zero-extended.
+bool decodes_zero_extended(Opcode op) {
+  return op == Opcode::kAndi || op == Opcode::kOri || op == Opcode::kXori ||
+         op == Opcode::kLui;
+}
+
+/// Formats without an immediate field encode only imm == 0.
+void require_no_imm(const Instruction& inst) {
+  if (inst.imm != 0) {
+    throw std::invalid_argument("encode: " + std::string(mnemonic(inst.op)) +
+                                " has no immediate field: " +
+                                std::to_string(inst.imm));
   }
 }
 
@@ -82,6 +100,7 @@ EncodedWord encode(const Instruction& inst) {
   std::uint32_t word = slot.primary << 26;
   switch (oi.format) {
     case Format::kRegister:
+      require_no_imm(inst);
       word |= (std::uint32_t{inst.rs} << 21) | (std::uint32_t{inst.rt} << 16) |
               (std::uint32_t{inst.rd} << 11) | slot.funct;
       break;
@@ -94,12 +113,12 @@ EncodedWord encode(const Instruction& inst) {
       break;
     case Format::kImmediate:
     case Format::kLoadStore:
-      require_imm16(inst.imm, "encode");
+      require_imm16(inst.imm, "encode", decodes_zero_extended(inst.op));
       word |= (std::uint32_t{inst.rs} << 21) | (std::uint32_t{inst.rt} << 16) |
               field_imm16(inst.imm);
       break;
     case Format::kBranch:
-      require_imm16(inst.imm, "encode branch", 32767);
+      require_imm16(inst.imm, "encode branch");
       if (slot.primary == kRegimm) {
         word |= (std::uint32_t{inst.rs} << 21) | (slot.regimm_rt << 16) |
                 field_imm16(inst.imm);
@@ -115,10 +134,12 @@ EncodedWord encode(const Instruction& inst) {
       word |= static_cast<std::uint32_t>(inst.imm);
       break;
     case Format::kJumpReg:
+      require_no_imm(inst);
       word |= (std::uint32_t{inst.rs} << 21) | (std::uint32_t{inst.rd} << 11) |
               slot.funct;
       break;
     case Format::kNullary:
+      require_no_imm(inst);
       break;
   }
   EncodedWord out = word;

@@ -23,8 +23,11 @@ using EncodedWord = std::uint64_t;
 inline constexpr EncodedWord kSecureBit = 1ull << 32;
 
 /// Encodes an instruction.  Throws std::invalid_argument when a field does
-/// not fit its encoding slot (e.g. a branch displacement beyond ±32767
-/// words or a jump index beyond 26 bits).
+/// not fit its encoding slot, so that decode(encode(i)) gives i's
+/// immediate back: a sign-extended immediate or branch displacement outside
+/// [-32768, 32767], an andi/ori/xori/lui immediate outside [0, 65535], a
+/// shift amount outside [0, 31], a jump index beyond 26 bits, or a nonzero
+/// immediate where the format has none.
 [[nodiscard]] EncodedWord encode(const Instruction& inst);
 
 /// Decodes an encoded word.  Throws std::invalid_argument on patterns that

@@ -141,6 +141,4 @@ Instruction make_jump(Opcode op, std::int32_t target_index) {
 
 Instruction make_nop() { return make_shift(Opcode::kSll, 0, 0, 0); }
 
-Instruction make_halt() { return Instruction{Opcode::kHalt, 0, 0, 0, 0, false}; }
-
 }  // namespace emask::isa

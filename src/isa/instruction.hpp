@@ -52,6 +52,5 @@ struct Instruction {
                                       std::int32_t rel_words);
 [[nodiscard]] Instruction make_jump(Opcode op, std::int32_t target_index);
 [[nodiscard]] Instruction make_nop();
-[[nodiscard]] Instruction make_halt();
 
 }  // namespace emask::isa

@@ -8,15 +8,6 @@
 namespace emask::session {
 namespace {
 
-std::string accepted_cipher_names() {
-  std::string out;
-  for (const auto& entry : kSessionCipherNames) {
-    if (!out.empty()) out += "|";
-    out += entry.name;
-  }
-  return out;
-}
-
 /// One DES pass over the whole session: the device key, the per-block
 /// BatchRunner inputs, the golden-model expected outputs, and the
 /// effective single-DES inputs the attack hypotheses consume.
@@ -34,14 +25,6 @@ std::string_view session_cipher_name(SessionCipher cipher) {
     if (entry.value == cipher) return entry.name;
   }
   throw SessionError("session_cipher_name: unknown cipher value");
-}
-
-SessionCipher session_cipher_from_name(std::string_view name) {
-  for (const auto& entry : kSessionCipherNames) {
-    if (entry.name == name) return entry.value;
-  }
-  throw SessionError("unknown session cipher '" + std::string(name) +
-                     "' (expected " + accepted_cipher_names() + ")");
 }
 
 std::vector<std::uint64_t> pack_message(

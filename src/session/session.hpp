@@ -58,7 +58,7 @@ enum class SessionCipher {
   kTdesEdeCbc,
 };
 
-/// Name table — the one source of truth for spec parsing and errors.
+/// Name table behind session_cipher_name.
 inline constexpr struct {
   SessionCipher value;
   std::string_view name;
@@ -68,8 +68,6 @@ inline constexpr struct {
 };
 
 [[nodiscard]] std::string_view session_cipher_name(SessionCipher cipher);
-/// Throws SessionError listing the accepted names.
-[[nodiscard]] SessionCipher session_cipher_from_name(std::string_view name);
 
 /// Keys of a session.  DES-CBC uses k1 only; 3DES-EDE uses all three.
 struct SessionKeys {
@@ -81,6 +79,7 @@ struct SessionKeys {
 // ---- Padding / packing (the session byte contract) ----------------------
 
 /// PKCS#7-pads `bytes` and packs them into big-endian 64-bit blocks.
+/// Bench and example API: no tool links it.
 [[nodiscard]] std::vector<std::uint64_t> pack_message(
     const std::vector<std::uint8_t>& bytes);
 [[nodiscard]] std::vector<std::uint64_t> pack_message(std::string_view text);
@@ -88,6 +87,7 @@ struct SessionKeys {
 /// Unpacks blocks and strips PKCS#7 padding.  Throws SessionError on an
 /// empty block vector or malformed padding (pad byte 0, > 8, or trailing
 /// bytes that do not all equal the pad value).
+/// Bench and example API: no tool links it.
 [[nodiscard]] std::vector<std::uint8_t> unpack_message(
     const std::vector<std::uint64_t>& blocks);
 
@@ -209,6 +209,7 @@ class SessionEngine {
   SessionResult encrypt(const std::vector<std::uint64_t>& blocks,
                         const BlockSink& sink = {});
   /// Decrypts `blocks`; same contract.
+  /// Bench and example API: no tool links it.
   SessionResult decrypt(const std::vector<std::uint64_t>& blocks,
                         const BlockSink& sink = {});
 

@@ -180,17 +180,4 @@ void poke_message(assembler::Program& program,
   poke_words(program, "msg", block.data(), 16);
 }
 
-std::array<std::uint32_t, 5> read_digest(const sim::DataMemory& memory,
-                                         const assembler::Program& program) {
-  const assembler::DataSymbol* s = program.find_symbol("digest");
-  if (s == nullptr || s->size_bytes < 20) {
-    throw std::invalid_argument("sha: no digest symbol");
-  }
-  std::array<std::uint32_t, 5> out;
-  for (unsigned i = 0; i < 5; ++i) {
-    out[i] = memory.load_word(s->address + i * 4);
-  }
-  return out;
-}
-
 }  // namespace emask::sha

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "assembler/program.hpp"
-#include "sim/memory.hpp"
 
 namespace emask::sha {
 
@@ -30,9 +29,5 @@ struct Sha1AsmOptions {
 /// Replaces the 16 message words in an assembled program image.
 void poke_message(assembler::Program& program,
                   const std::array<std::uint32_t, 16>& block);
-
-/// Reads the five digest words from simulated memory.
-[[nodiscard]] std::array<std::uint32_t, 5> read_digest(
-    const sim::DataMemory& memory, const assembler::Program& program);
 
 }  // namespace emask::sha

@@ -40,9 +40,9 @@ class DataMemory {
   [[nodiscard]] std::uint32_t base() const { return assembler::kDataBase; }
   [[nodiscard]] std::size_t size() const { return size_; }
 
-  /// Copy-on-write bookkeeping: does `this` still share the physical page
-  /// holding `address` with `other`?  Exposed for tests and fork-cost
-  /// observability; `address` must be in range for both.
+  /// Test hook (the copy-on-write tests): does `this` still share the
+  /// physical page holding `address` with `other`?  `address` must be in
+  /// range for both.
   [[nodiscard]] bool shares_page_with(const DataMemory& other,
                                       std::uint32_t address) const;
 

@@ -132,6 +132,14 @@ std::shared_ptr<const DecodedText> predecode(
     } catch (const std::invalid_argument&) {
       d.encodable = false;
     }
+    // Execution reads `inst`, the fetch bus prices the encoded word: the
+    // two must be one instruction.
+    if (d.encodable && isa::decode(d.encoded) != inst) {
+      throw std::invalid_argument(
+          "predecode: '" + inst.to_string() +
+          "' does not survive encoding (decodes as '" +
+          isa::decode(d.encoded).to_string() + "')");
+    }
     d.imm = inst.imm;
     d.op = inst.op;
     d.unit = oi.unit;

@@ -110,7 +110,10 @@ struct DecodedInstruction {
 using DecodedText = std::vector<DecodedInstruction>;
 
 /// Decodes `program`'s text.  Never throws for an unencodable instruction:
-/// that is an error only if it is ever fetched.
+/// that is an error only if it is ever fetched.  Throws
+/// std::invalid_argument for an encodable one whose word decodes to a
+/// different instruction (a register operand its format has no field for),
+/// which would run one instruction and be priced as another.
 [[nodiscard]] std::shared_ptr<const DecodedText> predecode(
     const assembler::Program& program);
 
@@ -166,6 +169,7 @@ class Pipeline {
     return result();
   }
 
+  /// run() without a callback.  Bench and example API: no tool links it.
   SimResult run();
 
   /// Captures the complete machine state — registers, PC, the four

@@ -4,14 +4,6 @@
 
 namespace emask::util {
 
-std::vector<std::uint32_t> unpack_block_msb_first(std::uint64_t block) {
-  std::vector<std::uint32_t> bits(64);
-  for (unsigned i = 0; i < 64; ++i) {
-    bits[i] = static_cast<std::uint32_t>(bit_of64(block, 63 - i));
-  }
-  return bits;
-}
-
 std::uint64_t pack_block_msb_first(const std::vector<std::uint32_t>& bits) {
   if (bits.size() != 64) {
     throw std::invalid_argument("pack_block_msb_first: need exactly 64 bits");

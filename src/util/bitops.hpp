@@ -51,13 +51,9 @@ namespace emask::util {
   return (x ^ mask) - mask;
 }
 
-/// Unpack a 64-bit block into 64 words of value 0/1, MSB first (bit 63 of
-/// `block` becomes element 0).  This is the "one word per bit" data layout
-/// the paper's DES implementation uses (Fig. 4: `newL[i] = oldR[i]`).
-[[nodiscard]] std::vector<std::uint32_t> unpack_block_msb_first(
-    std::uint64_t block);
-
-/// Inverse of unpack_block_msb_first: element 0 becomes bit 63.
+/// Packs 64 words of value 0/1 into a block, MSB first (element 0 becomes
+/// bit 63).  This is the "one word per bit" data layout the paper's DES
+/// implementation uses (Fig. 4: `newL[i] = oldR[i]`).
 [[nodiscard]] std::uint64_t pack_block_msb_first(
     const std::vector<std::uint32_t>& bits);
 

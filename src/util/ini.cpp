@@ -70,12 +70,6 @@ const std::string* IniFile::find(const std::string& section,
   return e ? &e->value : nullptr;
 }
 
-std::string IniFile::get_or(const std::string& section, const std::string& key,
-                            const std::string& fallback) const {
-  const std::string* v = find(section, key);
-  return v ? *v : fallback;
-}
-
 IniFile IniFile::parse(const std::string& text) {
   IniFile file;
   std::istringstream in(text);

@@ -60,9 +60,6 @@ class IniFile {
   /// Value of section.key, or nullptr when absent.
   [[nodiscard]] const std::string* find(const std::string& section,
                                         const std::string& key) const;
-  [[nodiscard]] std::string get_or(const std::string& section,
-                                   const std::string& key,
-                                   const std::string& fallback) const;
 
   /// Splits a comma-separated list value into trimmed items (empty items
   /// are preserved so callers can reject `a,,b` specifically).

@@ -117,11 +117,6 @@ void JsonWriter::value(bool v) {
   out_ << (v ? "true" : "false");
 }
 
-void JsonWriter::null() {
-  before_item();
-  out_ << "null";
-}
-
 void JsonWriter::finish() { out_ << '\n'; }
 
 // ---------------------------------------------------------------- parser

@@ -50,8 +50,6 @@ class JsonWriter {
   void value(std::uint64_t v);
   void value(int v);
   void value(bool v);
-  /// Emits a JSON `null`.
-  void null();
 
   /// Finishes the document with a trailing newline.  All containers must
   /// be closed.

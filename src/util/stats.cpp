@@ -1,7 +1,6 @@
 #include "util/stats.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace emask::util {
@@ -13,24 +12,6 @@ double mean_of(const std::vector<double>& xs) {
   double sum = 0.0;
   for (double x : xs) sum += x;
   return sum / static_cast<double>(xs.size());
-}
-
-double max_abs(const std::vector<double>& xs) {
-  double best = 0.0;
-  for (double x : xs) best = std::max(best, std::abs(x));
-  return best;
-}
-
-std::size_t argmax_abs(const std::vector<double>& xs) {
-  std::size_t best = 0;
-  double best_val = -1.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (std::abs(xs[i]) > best_val) {
-      best_val = std::abs(xs[i]);
-      best = i;
-    }
-  }
-  return best;
 }
 
 double pearson(const std::vector<double>& a, const std::vector<double>& b) {

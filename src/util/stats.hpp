@@ -22,6 +22,7 @@ class RunningStats {
   [[nodiscard]] double variance() const {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
   }
+  /// Bench and example API: no tool links it.
   [[nodiscard]] double stddev() const;
 
  private:
@@ -31,15 +32,11 @@ class RunningStats {
 };
 
 /// Mean of a vector; 0 for an empty vector.
+/// Bench and example API: no tool links it.
 [[nodiscard]] double mean_of(const std::vector<double>& xs);
 
-/// Maximum absolute element; 0 for an empty vector.
-[[nodiscard]] double max_abs(const std::vector<double>& xs);
-
-/// Index of the maximum absolute element; 0 for an empty vector.
-[[nodiscard]] std::size_t argmax_abs(const std::vector<double>& xs);
-
 /// Pearson correlation of two equally sized vectors; 0 if degenerate.
+/// Bench and example API: no tool links it.
 [[nodiscard]] double pearson(const std::vector<double>& a,
                              const std::vector<double>& b);
 

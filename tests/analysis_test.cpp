@@ -2,6 +2,7 @@
 // on the real simulated DES.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -143,7 +144,9 @@ TEST(Dpa, RecoversKeyFromSyntheticLeakage) {
   const DpaResult r = attack.solve();
   EXPECT_EQ(r.best_guess, truth);
   EXPECT_GT(r.margin(), 1.2);
-  EXPECT_EQ(util::argmax_abs(r.dom_best), 17u);
+  const auto peak = std::ranges::max_element(
+      r.dom_best, {}, [](double d) { return std::abs(d); });
+  EXPECT_EQ(peak - r.dom_best.begin(), 17);
 }
 
 TEST(Dpa, WindowRestrictsAnalysis) {

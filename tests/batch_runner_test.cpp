@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "core/batch_runner.hpp"
+#include "support/capture.hpp"
 #include "util/rng.hpp"
 
 namespace emask::core {
@@ -50,10 +51,10 @@ void expect_identical(const analysis::TraceSet& a,
 TEST(BatchRunner, ThreadCountDoesNotChangeTheTraceSet) {
   const InputGenerator gen = random_plaintexts(kKey, kSeed);
   BatchRunner serial(device(), config(1));
-  const analysis::TraceSet one = serial.capture(kTraces, gen);
+  const analysis::TraceSet one = capture_set(serial, kTraces, gen);
   for (const std::size_t threads : {2u, 4u, 7u}) {
     BatchRunner parallel(device(), config(threads));
-    const analysis::TraceSet many = parallel.capture(kTraces, gen);
+    const analysis::TraceSet many = capture_set(parallel, kTraces, gen);
     expect_identical(one, many);
   }
 }
@@ -66,16 +67,16 @@ TEST(BatchRunner, NoisyCaptureIsThreadCountInvariant) {
   noisy.noise_seed = 0x5EED;
   BatchRunner serial(device(), noisy);
   const analysis::TraceSet one =
-      serial.capture(kTraces, random_plaintexts(kKey, kSeed));
+      capture_set(serial, kTraces, random_plaintexts(kKey, kSeed));
   noisy.threads = 4;
   BatchRunner parallel(device(), noisy);
   const analysis::TraceSet many =
-      parallel.capture(kTraces, random_plaintexts(kKey, kSeed));
+      capture_set(parallel, kTraces, random_plaintexts(kKey, kSeed));
   expect_identical(one, many);
   // The noise is really on: every trace differs from its noise-free twin.
   BatchRunner clean(device(), config(1));
   const analysis::TraceSet quiet =
-      clean.capture(kTraces, random_plaintexts(kKey, kSeed));
+      capture_set(clean, kTraces, random_plaintexts(kKey, kSeed));
   for (std::size_t i = 0; i < kTraces; ++i) {
     EXPECT_NE(one.traces[i].samples(), quiet.traces[i].samples())
         << "trace " << i;
@@ -95,7 +96,7 @@ TEST(BatchRunner, SinkCallsAreSerializedInIndexOrder) {
   constexpr std::size_t kN = 24;
   const InputGenerator gen = random_plaintexts(kKey, kSeed);
   BatchRunner serial(device(), config(1));
-  const analysis::TraceSet reference = serial.capture(kN, gen);
+  const analysis::TraceSet reference = capture_set(serial, kN, gen);
   for (const std::size_t threads : {1u, 2u, 4u, 7u}) {
     BatchRunner runner(device(), config(threads));
     std::atomic<bool> in_sink{false};
@@ -138,7 +139,7 @@ TEST(BatchRunner, RandomPlaintextsReproduceTheSerialRngStream) {
 TEST(BatchRunner, MatchesDirectRunDes) {
   BatchRunner runner(device(), config(4));
   const analysis::TraceSet set =
-      runner.capture(kTraces, random_plaintexts(kKey, kSeed));
+      capture_set(runner, kTraces, random_plaintexts(kKey, kSeed));
   // Spot-check first and last against the single-encryption API.
   for (const std::size_t i : {std::size_t{0}, kTraces - 1}) {
     const EncryptionRun run =
@@ -151,7 +152,7 @@ TEST(BatchRunner, ExplicitInputListKeepsOrder) {
   std::vector<BatchInput> inputs;
   for (std::uint64_t i = 0; i < 5; ++i) inputs.push_back({kKey, 100 + i});
   BatchRunner runner(device(), config(3));
-  const analysis::TraceSet set = runner.capture(inputs);
+  const analysis::TraceSet set = capture_set(runner, inputs);
   ASSERT_EQ(set.size(), inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     EXPECT_EQ(set.inputs[i], inputs[i].plaintext);
@@ -171,9 +172,9 @@ TEST(BatchRunner, CaptureEachEmitsInStrictIndexOrder) {
 
 TEST(BatchRunner, StatsAggregateInSerialOrder) {
   BatchRunner serial(device(), config(1));
-  (void)serial.capture(kTraces, random_plaintexts(kKey, kSeed));
+  (void)capture_set(serial, kTraces, random_plaintexts(kKey, kSeed));
   BatchRunner parallel(device(), config(4));
-  (void)parallel.capture(kTraces, random_plaintexts(kKey, kSeed));
+  (void)capture_set(parallel, kTraces, random_plaintexts(kKey, kSeed));
   const BatchStats& a = serial.stats();
   const BatchStats& b = parallel.stats();
   EXPECT_EQ(a.encryptions, kTraces);
@@ -194,7 +195,7 @@ TEST(BatchRunner, StatsAggregateInSerialOrder) {
 TEST(BatchRunner, EmptyBatchIsANoOp) {
   BatchRunner runner(device(), config(4));
   const analysis::TraceSet set =
-      runner.capture(0, random_plaintexts(kKey, kSeed));
+      capture_set(runner, 0, random_plaintexts(kKey, kSeed));
   EXPECT_EQ(set.size(), 0u);
   EXPECT_EQ(runner.stats().encryptions, 0u);
 }
@@ -207,7 +208,8 @@ TEST(BatchRunner, WorkerExceptionPropagatesToCaller) {
     if (i == 5) throw std::runtime_error("acquisition failed");
     return {kKey, i};
   };
-  EXPECT_THROW((void)runner.capture(kTraces, poisoned), std::runtime_error);
+  EXPECT_THROW((void)capture_set(runner, kTraces, poisoned),
+               std::runtime_error);
 }
 
 struct SinkFull : std::runtime_error {
@@ -251,8 +253,9 @@ TEST(BatchRunner, RunExceptionOnAWorkerReachesTheCaller) {
     return dev.run_des(in.key, in.plaintext, kStop);
   };
   BatchRunner runner(device(), bc);
-  EXPECT_THROW((void)runner.capture(kTraces, random_plaintexts(kKey, kSeed)),
-               WorkerFailure);
+  EXPECT_THROW(
+      (void)capture_set(runner, kTraces, random_plaintexts(kKey, kSeed)),
+      WorkerFailure);
   EXPECT_TRUE(worker_threw);
 }
 
@@ -281,7 +284,7 @@ TEST(BatchRunner, CallingThreadSimulates) {
   std::vector<BatchInput> inputs;
   for (std::uint64_t i = 0; i < 16; ++i) inputs.push_back({kKey, i});
   BatchRunner runner(device(), bc);
-  (void)runner.capture(inputs);
+  (void)capture_set(runner, inputs);
   EXPECT_GE(caller_runs_after_first, 1u);
   EXPECT_LE(ids.size(), 3u);
 }
@@ -336,12 +339,12 @@ TEST(BatchRunnerSnapshot, ForkingIsBitIdenticalAcrossThreadCounts) {
   const std::size_t kN = 6;
   const InputGenerator gen = random_plaintexts(kKey, kSeed);
   BatchRunner cold(forkable_device(), cold_config());
-  const analysis::TraceSet reference = cold.capture(kN, gen);
+  const analysis::TraceSet reference = capture_set(cold, kN, gen);
   EXPECT_EQ(cold.stats().snapshot_forks, 0u);
   EXPECT_EQ(cold.stats().cold_starts, kN);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     BatchRunner forked(forkable_device(), full_config(threads));
-    const analysis::TraceSet set = forked.capture(kN, gen);
+    const analysis::TraceSet set = capture_set(forked, kN, gen);
     expect_identical(reference, set);
     EXPECT_EQ(forked.stats().snapshot_forks, kN) << threads << " threads";
     EXPECT_EQ(forked.stats().cold_starts, 0u);
@@ -356,14 +359,14 @@ TEST(BatchRunnerSnapshot, NoisyForkedCaptureMatchesNoisyColdCapture) {
   cold_cfg.noise_seed = 0x5EED;
   BatchRunner cold(forkable_device(), cold_cfg);
   const analysis::TraceSet reference =
-      cold.capture(kN, random_plaintexts(kKey, kSeed));
+      capture_set(cold, kN, random_plaintexts(kKey, kSeed));
   EXPECT_EQ(cold.stats().cold_starts, kN);
   BatchConfig fork_cfg = full_config(8);
   fork_cfg.noise_sigma_pj = cold_cfg.noise_sigma_pj;
   fork_cfg.noise_seed = cold_cfg.noise_seed;
   BatchRunner forked(forkable_device(), fork_cfg);
   const analysis::TraceSet set =
-      forked.capture(kN, random_plaintexts(kKey, kSeed));
+      capture_set(forked, kN, random_plaintexts(kKey, kSeed));
   expect_identical(reference, set);
   EXPECT_EQ(forked.stats().snapshot_forks, kN);
   EXPECT_EQ(forked.stats().cold_starts, 0u);
@@ -374,7 +377,7 @@ TEST(BatchRunnerSnapshot, NoisyForkedCaptureMatchesNoisyColdCapture) {
 TEST(BatchRunnerSnapshot, MixedKeysForkOnlyTheSnapshotKey) {
   std::vector<BatchInput> inputs = {{kKey, 1}, {kKey ^ 1, 2}, {kKey, 3}};
   BatchRunner runner(forkable_device(), full_config(2));
-  const analysis::TraceSet set = runner.capture(inputs);
+  const analysis::TraceSet set = capture_set(runner, inputs);
   ASSERT_EQ(set.size(), 3u);
   EXPECT_EQ(runner.stats().snapshot_forks, 2u);
   EXPECT_EQ(runner.stats().cold_starts, 1u);
@@ -390,7 +393,7 @@ TEST(BatchRunnerSnapshot, StopBeforeForkPointFallsBackCold) {
   bc.stop_after_cycles = 100;  // well before the hoisted key schedule ends
   BatchRunner runner(forkable_device(), bc);
   const analysis::TraceSet set =
-      runner.capture(3, random_plaintexts(kKey, kSeed));
+      capture_set(runner, 3, random_plaintexts(kKey, kSeed));
   for (const auto& trace : set.traces) EXPECT_EQ(trace.size(), 100u);
   EXPECT_EQ(runner.stats().snapshot_forks, 0u);
   EXPECT_EQ(runner.stats().cold_starts, 3u);
@@ -402,7 +405,7 @@ TEST(BatchRunnerSnapshot, RunFunctionBypassesSnapshotting) {
   bc.threads = 2;
   BatchRunner runner(forkable_device(), bc);
   const analysis::TraceSet set =
-      runner.capture(3, random_plaintexts(kKey, kSeed));
+      capture_set(runner, 3, random_plaintexts(kKey, kSeed));
   ASSERT_EQ(set.size(), 3u);
   EXPECT_EQ(runner.stats().snapshot_forks, 0u);
   EXPECT_EQ(runner.stats().cold_starts, 3u);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -17,21 +16,15 @@
 
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
+#include "util/fsio.hpp"
 
 namespace emask::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using util::read_text_file;
 
 using Digests = std::map<std::string, std::string>;  // relative path -> hex
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 /// Runs `spec_text` at two worker threads and digests its artifacts.
 Digests run_and_digest(const std::string& name, const std::string& spec_text) {
@@ -48,12 +41,12 @@ Digests run_and_digest(const std::string& name, const std::string& spec_text) {
   for (const auto& entry : fs::recursive_directory_iterator(dir / "scenarios")) {
     if (!entry.is_regular_file()) continue;
     digests[fs::relative(entry.path(), dir).generic_string()] =
-        fnv1a_hex(read_file(entry.path()));
+        fnv1a_hex(read_text_file(entry.path()));
   }
-  digests["summary.csv"] = fnv1a_hex(read_file(dir / "summary.csv"));
+  digests["summary.csv"] = fnv1a_hex(read_text_file(dir / "summary.csv"));
   static const std::regex generator("\"generator\": *\"[^\"]*\"");
   digests["manifest.json"] = fnv1a_hex(std::regex_replace(
-      read_file(dir / "manifest.json"), generator, "\"generator\": \"\""));
+      read_text_file(dir / "manifest.json"), generator, "\"generator\": \"\""));
   fs::remove_all(dir);
   return digests;
 }

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <vector>
 
 #include "analysis/trace_io.hpp"
@@ -16,26 +15,20 @@
 #include "campaign/spec.hpp"
 #include "core/masking_pipeline.hpp"
 #include "des/des.hpp"
+#include "util/fsio.hpp"
 #include "util/rng.hpp"
 
 namespace emask::campaign {
 namespace {
 
 namespace fs = std::filesystem;
+using util::read_text_file;
 
 constexpr const char* kMinimalSpec =
     "[campaign]\n"
     "name = t\n"
     "[axes]\n"
     "policy = original\n";
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
 
 // ---------------------------------------------------------------- parsing
 
@@ -284,14 +277,15 @@ TEST(Runner, InterruptedResumeIsByteIdentical) {
   EXPECT_EQ(resumed.resumed, 2u);
   EXPECT_EQ(resumed.executed, 2u);
 
-  EXPECT_EQ(read_file(dir_a / "manifest.json"),
-            read_file(dir_b / "manifest.json"));
-  EXPECT_EQ(read_file(dir_a / "summary.csv"), read_file(dir_b / "summary.csv"));
+  EXPECT_EQ(read_text_file(dir_a / "manifest.json"),
+            read_text_file(dir_b / "manifest.json"));
+  EXPECT_EQ(read_text_file(dir_a / "summary.csv"),
+            read_text_file(dir_b / "summary.csv"));
   for (const auto& entry : fs::directory_iterator(dir_a / "scenarios")) {
     for (const auto& file : fs::directory_iterator(entry.path())) {
       const fs::path other =
           dir_b / "scenarios" / entry.path().filename() / file.path().filename();
-      EXPECT_EQ(read_file(file.path()), read_file(other))
+      EXPECT_EQ(read_text_file(file.path()), read_text_file(other))
           << "mismatch at " << other;
     }
   }
@@ -429,10 +423,10 @@ TEST(Runner, ShardedMergeIsByteIdenticalToUnsharded) {
   EXPECT_EQ(report.scenarios, 4u);
   EXPECT_TRUE(report.timings_merged);
 
-  EXPECT_EQ(read_file(base / "merged" / "manifest.json"),
-            read_file(base / "full" / "manifest.json"));
-  EXPECT_EQ(read_file(base / "merged" / "summary.csv"),
-            read_file(base / "full" / "summary.csv"));
+  EXPECT_EQ(read_text_file(base / "merged" / "manifest.json"),
+            read_text_file(base / "full" / "manifest.json"));
+  EXPECT_EQ(read_text_file(base / "merged" / "summary.csv"),
+            read_text_file(base / "full" / "summary.csv"));
   EXPECT_TRUE(fs::exists(base / "merged" / "timings.json"));
   fs::remove_all(base);
 }
@@ -550,9 +544,10 @@ TEST(Merge, ReassemblesCraftedShardsByteIdentically) {
             });
   const fs::path expected = f.base / "expected_manifest.json";
   write_manifest(expected.string(), f.spec, whole, git_describe());
-  EXPECT_EQ(read_file(f.base / "merged" / "manifest.json"),
-            read_file(expected));
-  EXPECT_NE(read_file(expected).find("\"metric\": null"), std::string::npos);
+  EXPECT_EQ(read_text_file(f.base / "merged" / "manifest.json"),
+            read_text_file(expected));
+  EXPECT_NE(read_text_file(expected).find("\"metric\": null"),
+            std::string::npos);
 }
 
 TEST(Merge, SpecHashMismatchIsError) {
@@ -747,13 +742,15 @@ TEST(Runner, SaveTracesWritesEveryCaptureAndChangesNothingElse) {
       }
       EXPECT_EQ(set.traces[i].samples(), rounded) << axes << " trace " << i;
     }
-    EXPECT_EQ(read_file(one / "traces.emts"), read_file(four / "traces.emts"))
+    EXPECT_EQ(read_text_file(one / "traces.emts"),
+              read_text_file(four / "traces.emts"))
         << axes;
 
     std::size_t others = 0;
     for (const auto& file : fs::directory_iterator(off)) {
       ++others;
-      EXPECT_EQ(read_file(file.path()), read_file(one / file.path().filename()))
+      EXPECT_EQ(read_text_file(file.path()),
+                read_text_file(one / file.path().filename()))
           << axes << " " << file.path().filename();
     }
     EXPECT_EQ(static_cast<std::size_t>(std::distance(

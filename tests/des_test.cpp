@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "des/tables.hpp"
+#include "support/des_rounds.hpp"
 #include "util/rng.hpp"
 
 namespace emask::des {

@@ -15,8 +15,8 @@
 
 #include "assembler/assembler.hpp"
 #include "des/asm_generator.hpp"
-#include "sim/interpreter.hpp"
 #include "sim/pipeline.hpp"
+#include "support/interpreter.hpp"
 #include "util/rng.hpp"
 
 namespace emask::sim {

@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "analysis/generic_cpa.hpp"
@@ -16,11 +14,14 @@
 #include "core/masking_pipeline.hpp"
 #include "core/phase_profile.hpp"
 #include "hiding/policy.hpp"
+#include "support/capture.hpp"
+#include "util/fsio.hpp"
 
 namespace emask::core {
 namespace {
 
 namespace fs = std::filesystem;
+using util::read_text_file;
 
 constexpr std::uint64_t kKey = 0x133457799BBCDFF1ull;
 constexpr std::uint64_t kPlain = 0x0123456789ABCDEFull;
@@ -36,14 +37,6 @@ MaskingPipeline forkable_device(const std::string& name) {
   opts.hoist_key_schedule = true;
   return MaskingPipeline::des(hiding::countermeasure_from_name(name),
                               energy::TechParams::smartcard_025um(), opts);
-}
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 void expect_identical(const analysis::TraceSet& a,
@@ -150,7 +143,7 @@ TEST(Hiding, RandomPrechargeAutoSnapshotMatchesColdAtAnyThreadCount) {
     bc.stop_after_cycles = kStop;
     bc.threads = threads;
     BatchRunner runner(rp, bc);
-    expect_identical(reference, runner.capture(kN, gen));
+    expect_identical(reference, capture_set(runner, kN, gen));
     EXPECT_EQ(runner.stats().snapshot_forks, 0u);
     EXPECT_EQ(runner.stats().cold_starts, kN);
   }
@@ -227,11 +220,13 @@ TEST(Hiding, BatchCaptureIsThreadCountInvariantForEveryHidingPolicy) {
     BatchConfig bc;
     bc.stop_after_cycles = 1500;
     bc.threads = 1;
-    const analysis::TraceSet one = BatchRunner(dev, bc).capture(6, gen);
+    BatchRunner serial(dev, bc);
+    const analysis::TraceSet one = capture_set(serial, 6, gen);
     for (const std::size_t threads : {2u, 8u}) {
       BatchConfig many = bc;
       many.threads = threads;
-      expect_identical(one, BatchRunner(dev, many).capture(6, gen));
+      BatchRunner parallel(dev, many);
+      expect_identical(one, capture_set(parallel, 6, gen));
     }
   }
 }
@@ -283,15 +278,15 @@ TEST(HidingCampaign, JobsAndResumeAreByteIdentical) {
   EXPECT_TRUE(resumed.complete);
   EXPECT_EQ(resumed.resumed, 4u);
 
-  EXPECT_EQ(read_file(dir_a / "manifest.json"),
-            read_file(dir_b / "manifest.json"));
-  EXPECT_EQ(read_file(dir_a / "summary.csv"),
-            read_file(dir_b / "summary.csv"));
+  EXPECT_EQ(read_text_file(dir_a / "manifest.json"),
+            read_text_file(dir_b / "manifest.json"));
+  EXPECT_EQ(read_text_file(dir_a / "summary.csv"),
+            read_text_file(dir_b / "summary.csv"));
   for (const auto& entry : fs::directory_iterator(dir_a / "scenarios")) {
     for (const auto& file : fs::directory_iterator(entry.path())) {
       const fs::path other = dir_b / "scenarios" / entry.path().filename() /
                              file.path().filename();
-      EXPECT_EQ(read_file(file.path()), read_file(other))
+      EXPECT_EQ(read_text_file(file.path()), read_text_file(other))
           << "mismatch at " << other;
     }
   }

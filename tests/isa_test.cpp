@@ -214,6 +214,29 @@ TEST(Encoding, OutOfRangeFieldsThrow) {
   EXPECT_EQ(decode(encode(make_branch(Opcode::kBeq, 1, 2, 32767))).imm, 32767);
 }
 
+// The fetch bus prices the encoded word and the pipeline runs the
+// instruction, so every immediate either fails to encode or decodes back
+// unchanged — in every format, including those with no immediate field.
+TEST(Encoding, BoundaryImmediatesThrowOrRoundTrip) {
+  for (std::size_t i = 0; i < kNumOpcodes; ++i) {
+    const auto op = static_cast<Opcode>(i);
+    for (const std::int32_t imm :
+         {-32769, -32768, -1, 0, 32767, 32768, 65535, 65536}) {
+      Instruction inst;
+      inst.op = op;
+      inst.imm = imm;
+      EncodedWord word = 0;
+      try {
+        word = encode(inst);
+      } catch (const std::invalid_argument&) {
+        EXPECT_NE(imm, 0) << mnemonic(op);
+        continue;
+      }
+      EXPECT_EQ(decode(word), inst) << mnemonic(op) << " " << imm;
+    }
+  }
+}
+
 TEST(Encoding, UnknownPatternsThrow) {
   EXPECT_THROW((void)decode(0x0000003Fu), std::invalid_argument);  // SPECIAL funct 3f
   EXPECT_THROW((void)decode(0xC0000000u), std::invalid_argument);  // primary 0x30

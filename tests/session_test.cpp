@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +17,8 @@
 #include "campaign/spec.hpp"
 #include "des/des.hpp"
 #include "session/session.hpp"
+#include "support/capture.hpp"
+#include "util/fsio.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -26,14 +26,7 @@ namespace emask {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using util::read_text_file;
 
 // ------------------------------------------------- padding / packing
 
@@ -256,7 +249,7 @@ TEST(SessionEngine, ForkVsColdCaptureIsByteIdentical) {
 
   // The engine's capture is a default batch of these inputs: all forked.
   core::BatchRunner runner(device);
-  const analysis::TraceSet batch = runner.capture(inputs);
+  const analysis::TraceSet batch = capture_set(runner, inputs);
   EXPECT_EQ(runner.stats().snapshot_forks, blocks.size());
   EXPECT_EQ(runner.stats().cold_starts, 0u);
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -388,21 +381,6 @@ TEST(SessionSpec, ScenarioIdsCarrySessionLengthOnlyForSessions) {
   EXPECT_EQ(plain[0].session_length, 1u);
 }
 
-TEST(SessionSpec, CipherNameRoundTripsAndErrorsListNames) {
-  EXPECT_EQ(session::session_cipher_from_name("des_cbc"),
-            session::SessionCipher::kDesCbc);
-  EXPECT_EQ(session::session_cipher_from_name("tdes_cbc"),
-            session::SessionCipher::kTdesEdeCbc);
-  try {
-    (void)session::session_cipher_from_name("psychic");
-    FAIL() << "expected SessionError";
-  } catch (const session::SessionError& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("des_cbc"), std::string::npos) << what;
-    EXPECT_NE(what.find("tdes_cbc"), std::string::npos) << what;
-  }
-}
-
 TEST(SessionSpec, ManifestMapsSessionArtifacts) {
   EXPECT_EQ(campaign::scenario_blocks_path("0000-x"),
             "scenarios/0000-x/blocks.csv");
@@ -457,15 +435,15 @@ TEST(SessionCampaign, ArtifactsAreByteIdenticalAcrossJobCounts) {
       const auto other = scenario_files(dirs[d], artifact);
       ASSERT_EQ(other.size(), reference.size());
       for (std::size_t i = 0; i < reference.size(); ++i) {
-        EXPECT_EQ(read_file(reference[i]), read_file(other[i]))
+        EXPECT_EQ(read_text_file(reference[i]), read_text_file(other[i]))
             << "mismatch at " << other[i];
       }
     }
   }
-  EXPECT_EQ(read_file(dirs[0] / "manifest.json"),
-            read_file(dirs[1] / "manifest.json"));
-  EXPECT_EQ(read_file(dirs[0] / "manifest.json"),
-            read_file(dirs[2] / "manifest.json"));
+  EXPECT_EQ(read_text_file(dirs[0] / "manifest.json"),
+            read_text_file(dirs[1] / "manifest.json"));
+  EXPECT_EQ(read_text_file(dirs[0] / "manifest.json"),
+            read_text_file(dirs[2] / "manifest.json"));
   fs::remove_all(base);
 }
 
@@ -499,12 +477,12 @@ TEST(SessionCampaign, ResumeIsByteIdentical) {
     ASSERT_EQ(reference.size(), 2u) << artifact;
     ASSERT_EQ(resumed.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(read_file(reference[i]), read_file(resumed[i]))
+      EXPECT_EQ(read_text_file(reference[i]), read_text_file(resumed[i]))
           << "mismatch at " << resumed[i];
     }
   }
-  EXPECT_EQ(read_file(base / "straight" / "manifest.json"),
-            read_file(base / "resumed" / "manifest.json"));
+  EXPECT_EQ(read_text_file(base / "straight" / "manifest.json"),
+            read_text_file(base / "resumed" / "manifest.json"));
   fs::remove_all(base);
 }
 
@@ -533,7 +511,7 @@ TEST(SessionCampaign, AttackDisclosureIsByteIdenticalAcrossJobs) {
     ASSERT_EQ(reference.size(), 1u) << artifact;
     const auto other = scenario_files(dirs[1], artifact);
     ASSERT_EQ(other.size(), 1u);
-    EXPECT_EQ(read_file(reference[0]), read_file(other[0]));
+    EXPECT_EQ(read_text_file(reference[0]), read_text_file(other[0]));
   }
   fs::remove_all(base);
 }
@@ -557,7 +535,8 @@ TEST(SessionCampaign, TimingsReportTheWorkersActuallyUsed) {
     options.quiet = true;
     EXPECT_TRUE(campaign::CampaignRunner(spec, options).run().complete);
     const util::JsonValue timings =
-        util::parse_json(read_file(fs::path(options.out_dir) / "timings.json"));
+        util::parse_json(read_text_file(fs::path(options.out_dir) /
+                                        "timings.json"));
     const std::size_t expected = jobs == 0 ? std::min<std::size_t>(cores, 4)
                                            : jobs + 1;
     EXPECT_EQ(timings.at("scenarios").array.at(0).at("threads").as_u64(),

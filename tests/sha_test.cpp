@@ -6,8 +6,8 @@
 #include "compiler/masking.hpp"
 #include "core/masking_pipeline.hpp"
 #include "sha/asm_generator.hpp"
-#include "sha/sha1.hpp"
-#include "sim/interpreter.hpp"
+#include "support/interpreter.hpp"
+#include "support/sha1.hpp"
 #include "util/rng.hpp"
 
 namespace emask::sha {

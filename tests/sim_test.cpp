@@ -5,8 +5,8 @@
 #include <string>
 
 #include "assembler/assembler.hpp"
-#include "sim/interpreter.hpp"
 #include "sim/pipeline.hpp"
+#include "support/interpreter.hpp"
 
 namespace emask::sim {
 namespace {
@@ -327,6 +327,13 @@ TEST(Pipeline, UnencodableInstructionThrowsOnlyWhenFetched) {
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "encode: shamt out of range");
   }
+
+  // An encodable instruction is another matter: execution reads it and
+  // the fetch bus prices its word, so an operand the word cannot carry
+  // (lui has no rs field) is refused before anything runs.
+  assembler::Program stray_operand = after_halt;
+  stray_operand.text.back() = isa::make_itype(isa::Opcode::kLui, 8, 9, 1);
+  EXPECT_THROW(Pipeline{stray_operand}, std::invalid_argument);
 }
 
 // ---- Data memory: paging, the shared zero page, access checks ----

@@ -8,9 +8,7 @@
 #include <bit>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,20 +19,14 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "des/des.hpp"
+#include "util/fsio.hpp"
 #include "util/rng.hpp"
 
 namespace emask {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "cannot read " << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using util::read_text_file;
 
 int parity(unsigned v) { return std::popcount(v) & 1; }
 
@@ -215,8 +207,6 @@ TEST(AdversaryDisclosure, RanksBreakScoreTiesByGuessIndex) {
   ASSERT_EQ(curve.checkpoints().size(), 1u);
   const auto& cp = curve.checkpoints().front();
   EXPECT_EQ(cp.ranks, (std::vector<int>{2, 0, 1, 3}));
-  EXPECT_EQ(curve.final_rank(1), 0);
-  EXPECT_EQ(curve.final_rank(2), 1);
 }
 
 TEST(AdversaryDisclosure, TracesToDisclosureResetsWhenOvertaken) {
@@ -227,15 +217,13 @@ TEST(AdversaryDisclosure, TracesToDisclosureResetsWhenOvertaken) {
   curve.add_checkpoint(40, {2.0, 1.0});
   EXPECT_EQ(curve.traces_to_disclosure(0), 30u);  // not 10
   EXPECT_EQ(curve.traces_to_disclosure(1), 0u);   // never disclosed
-  EXPECT_EQ(curve.final_rank(0), 0);
-  EXPECT_EQ(curve.final_rank(1), 1);
+  EXPECT_EQ(curve.checkpoints().back().ranks, (std::vector<int>{0, 1}));
 }
 
 TEST(AdversaryDisclosure, EmptyCurveHasNoVerdict) {
   const analysis::DisclosureCurve curve;
   EXPECT_TRUE(curve.empty());
   EXPECT_EQ(curve.traces_to_disclosure(0), 0u);
-  EXPECT_EQ(curve.final_rank(0), -1);
 }
 
 // -------------------------------------------------------- campaign wiring
@@ -328,7 +316,7 @@ TEST(AdversaryRunner, DisclosureIsByteIdenticalAcrossThreadCounts) {
     const auto other = disclosure_files(dirs[d]);
     ASSERT_EQ(other.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
-      EXPECT_EQ(read_file(reference[i]), read_file(other[i]))
+      EXPECT_EQ(read_text_file(reference[i]), read_text_file(other[i]))
           << "mismatch at " << other[i];
     }
   }
@@ -364,11 +352,11 @@ TEST(AdversaryRunner, DisclosureSurvivesInterruptAndResume) {
   ASSERT_EQ(reference.size(), 3u);
   ASSERT_EQ(resumed.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(read_file(reference[i]), read_file(resumed[i]))
+    EXPECT_EQ(read_text_file(reference[i]), read_text_file(resumed[i]))
         << "mismatch at " << resumed[i];
   }
-  EXPECT_EQ(read_file(base / "straight" / "manifest.json"),
-            read_file(base / "resumed" / "manifest.json"));
+  EXPECT_EQ(read_text_file(base / "straight" / "manifest.json"),
+            read_text_file(base / "resumed" / "manifest.json"));
   fs::remove_all(base);
 }
 

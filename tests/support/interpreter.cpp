@@ -1,4 +1,4 @@
-#include "sim/interpreter.hpp"
+#include "support/interpreter.hpp"
 
 #include <stdexcept>
 #include <string>

@@ -1,4 +1,4 @@
-// Functional (non-pipelined) reference interpreter.
+// Functional (non-pipelined) reference interpreter, a test oracle.
 //
 // Executes the ISA with simple architectural semantics — one instruction at
 // a time, no hazards, no timing.  It serves as the differential oracle for

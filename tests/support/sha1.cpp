@@ -1,4 +1,6 @@
-#include "sha/sha1.hpp"
+#include "support/sha1.hpp"
+
+#include <stdexcept>
 
 namespace emask::sha {
 namespace {
@@ -98,6 +100,19 @@ std::string sha1_hex(const std::string& text) {
   for (const std::uint8_t byte : digest) {
     out.push_back(kHex[byte >> 4]);
     out.push_back(kHex[byte & 0xF]);
+  }
+  return out;
+}
+
+std::array<std::uint32_t, 5> read_digest(const sim::DataMemory& memory,
+                                         const assembler::Program& program) {
+  const assembler::DataSymbol* s = program.find_symbol("digest");
+  if (s == nullptr || s->size_bytes < 20) {
+    throw std::invalid_argument("sha: no digest symbol");
+  }
+  std::array<std::uint32_t, 5> out;
+  for (unsigned i = 0; i < 5; ++i) {
+    out[i] = memory.load_word(s->address + i * 4);
   }
   return out;
 }

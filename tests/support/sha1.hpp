@@ -1,17 +1,15 @@
 // Golden SHA-1 (FIPS 180-1, the "Secure Hash Standard" the paper cites as
-// reference [10]).
-//
-// Used by the keyed-hash generality experiment: the paper argues its
-// masking approach "is general and can be extended to other algorithms";
-// SHA-1's compression function is the natural second workload (secret-
-// prefixed MAC construction) and — unlike DES — exercises the logic unit
-// (Ch/Maj), motivating the secure and/nor extension of the ISA.
+// reference [10]): the test oracle the simulated SHA-1 compression program
+// (sha/asm_generator.hpp) is checked against.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "assembler/program.hpp"
+#include "sim/memory.hpp"
 
 namespace emask::sha {
 
@@ -33,5 +31,10 @@ void sha1_compress(Sha1State& state,
 
 /// Convenience: hash of an ASCII string, hex-encoded.
 [[nodiscard]] std::string sha1_hex(const std::string& text);
+
+/// Reads the five digest words a generated SHA-1 program left in simulated
+/// memory.
+[[nodiscard]] std::array<std::uint32_t, 5> read_digest(
+    const sim::DataMemory& memory, const assembler::Program& program);
 
 }  // namespace emask::sha

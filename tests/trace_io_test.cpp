@@ -14,6 +14,16 @@ std::string temp_path(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
+/// Writes `set` through TraceSetWriter, the writer captures stream through.
+void write_set(const std::string& path, const TraceSet& set) {
+  TraceSetWriter writer(path, set.size());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    writer.append(set.inputs[i], set.traces[i]);
+  }
+  EXPECT_EQ(writer.written(), set.size());
+  writer.close();
+}
+
 TEST(TraceIo, RoundTrip) {
   const std::string path = temp_path("roundtrip.emts");
   TraceSet original;
@@ -23,7 +33,7 @@ TEST(TraceIo, RoundTrip) {
     for (auto& s : v) s = 100.0 + rng.next_gaussian();
     original.add(rng.next_u64(), Trace(std::move(v)));
   }
-  save_trace_set(path, original);
+  write_set(path, original);
   const TraceSet loaded = load_trace_set(path);
   ASSERT_EQ(loaded.size(), original.size());
   EXPECT_EQ(loaded.inputs, original.inputs);
@@ -40,7 +50,7 @@ TEST(TraceIo, RoundTrip) {
 
 TEST(TraceIo, EmptySetRoundTrips) {
   const std::string path = temp_path("empty.emts");
-  save_trace_set(path, TraceSet{});
+  write_set(path, TraceSet{});
   EXPECT_EQ(load_trace_set(path).size(), 0u);
   std::remove(path.c_str());
 }
@@ -49,7 +59,7 @@ TEST(TraceIo, RejectsMixedLengths) {
   TraceSet bad;
   bad.add(1, Trace({1.0, 2.0}));
   bad.add(2, Trace({1.0}));
-  EXPECT_THROW(save_trace_set(temp_path("bad.emts"), bad),
+  EXPECT_THROW(write_set(temp_path("bad.emts"), bad),
                std::runtime_error);
 }
 
@@ -64,7 +74,7 @@ TEST(TraceIo, RejectsTruncation) {
   const std::string path = temp_path("trunc.emts");
   TraceSet set;
   set.add(42, Trace(std::vector<double>(64, 1.0)));
-  save_trace_set(path, set);
+  write_set(path, set);
   // Chop the tail off.
   std::ifstream in(path, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -85,7 +95,7 @@ TEST(TraceIo, RejectsUnsupportedVersion) {
   const std::string path = temp_path("version.emts");
   TraceSet set;
   set.add(1, Trace({1.0, 2.0}));
-  save_trace_set(path, set);
+  write_set(path, set);
   // Bump the version field (bytes 4..7) to a future value.
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
   f.seekp(4);
@@ -112,7 +122,7 @@ TEST(TraceIo, RejectsCorruptTraceCountWithoutAllocating) {
   const std::string path = temp_path("huge_count.emts");
   TraceSet set;
   set.add(7, Trace({1.0, 2.0, 3.0}));
-  save_trace_set(path, set);
+  write_set(path, set);
   // Corrupt n_traces (bytes 8..15) to an absurd value: the loader must
   // reject it against the file size instead of trusting it.
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -128,43 +138,13 @@ TEST(TraceIo, RejectsTrailingBytes) {
   const std::string path = temp_path("trailing.emts");
   TraceSet set;
   set.add(7, Trace({1.0, 2.0, 3.0}));
-  save_trace_set(path, set);
+  write_set(path, set);
   std::ofstream(path, std::ios::binary | std::ios::app) << "extra";
   EXPECT_THROW(load_trace_set(path), std::runtime_error);
   std::remove(path.c_str());
 }
 
-// ---- Incremental writer (the streaming path BatchRunner uses) ----
-
-TEST(TraceSetWriter, StreamedFileMatchesSaveTraceSet) {
-  const std::string bulk_path = temp_path("bulk.emts");
-  const std::string stream_path = temp_path("stream.emts");
-  TraceSet set;
-  util::Rng rng(9);
-  for (int i = 0; i < 5; ++i) {
-    std::vector<double> v(17);
-    for (auto& s : v) s = rng.next_gaussian();
-    set.add(rng.next_u64(), Trace(std::move(v)));
-  }
-  save_trace_set(bulk_path, set);
-  {
-    TraceSetWriter writer(stream_path, set.size());
-    for (std::size_t i = 0; i < set.size(); ++i) {
-      writer.append(set.inputs[i], set.traces[i]);
-    }
-    writer.close();
-    EXPECT_EQ(writer.written(), set.size());
-  }
-  // Byte-identical files: streaming is a pure refactoring of the format.
-  const auto slurp = [](const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::string((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  };
-  EXPECT_EQ(slurp(bulk_path), slurp(stream_path));
-  std::remove(bulk_path.c_str());
-  std::remove(stream_path.c_str());
-}
+// ---- Incremental writer: promised counts and lengths ----
 
 TEST(TraceSetWriter, RejectsMixedLengths) {
   const std::string path = temp_path("writer_mixed.emts");

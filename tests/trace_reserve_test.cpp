@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/batch_runner.hpp"
+#include "support/capture.hpp"
 #include "core/masking_pipeline.hpp"
 #include "des/asm_generator.hpp"
 #include "hiding/policy.hpp"
@@ -80,7 +81,7 @@ TEST(TraceReserve, ColdBatchIsIdenticalAtOneAndEightJobs) {
     BatchConfig config;
     config.threads = jobs;
     BatchRunner runner(device, config);
-    sets.push_back(runner.capture(12, random_plaintexts(kKey, 0x5EED)));
+    sets.push_back(capture_set(runner, 12, random_plaintexts(kKey, 0x5EED)));
   }
   ASSERT_EQ(sets[0].size(), sets[1].size());
   EXPECT_EQ(sets[0].inputs, sets[1].inputs);

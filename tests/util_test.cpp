@@ -58,14 +58,12 @@ TEST(Bitops, PackUnpackRoundTrip) {
   Rng rng(1);
   for (int i = 0; i < 100; ++i) {
     const std::uint64_t x = rng.next_u64();
-    EXPECT_EQ(pack_block_msb_first(unpack_block_msb_first(x)), x);
+    std::vector<std::uint32_t> bits(64);
+    for (unsigned b = 0; b < 64; ++b) {
+      bits[b] = static_cast<std::uint32_t>((x >> (63 - b)) & 1u);
+    }
+    EXPECT_EQ(pack_block_msb_first(bits), x);
   }
-}
-
-TEST(Bitops, UnpackIsMsbFirst) {
-  const auto bits = unpack_block_msb_first(1ull << 63);
-  EXPECT_EQ(bits[0], 1u);
-  for (int i = 1; i < 64; ++i) EXPECT_EQ(bits[static_cast<std::size_t>(i)], 0u);
 }
 
 TEST(Bitops, PackRejectsWrongSize) {
@@ -147,11 +145,6 @@ TEST(Stats, PearsonDegenerateIsZero) {
 
 TEST(Stats, PearsonSizeMismatchThrows) {
   EXPECT_THROW((void)pearson({1, 2}, {1, 2, 3}), std::invalid_argument);
-}
-
-TEST(Stats, ArgmaxAbs) {
-  EXPECT_EQ(argmax_abs({1.0, -5.0, 3.0}), 1u);
-  EXPECT_EQ(argmax_abs({}), 0u);
 }
 
 TEST(Stats, WelchTSeparatesDistinctMeans) {
@@ -390,7 +383,6 @@ TEST(Ini, ParsesSectionsKeysAndComments) {
   EXPECT_EQ(*ini.find("alpha", "key"), "value");
   EXPECT_EQ(*ini.find("alpha", "quoted"), " spaced # kept ");
   EXPECT_EQ(ini.find("alpha", "absent"), nullptr);
-  EXPECT_EQ(ini.get_or("beta", "missing", "fb"), "fb");
   const auto items = IniFile::split_list(*ini.find("beta", "list"));
   ASSERT_EQ(items.size(), 3u);
   EXPECT_EQ(items[0], "a");
@@ -473,16 +465,6 @@ TEST(Json, NonFiniteDoublesBecomeNull) {
   }
 }
 
-TEST(Json, ExplicitNull) {
-  std::ostringstream out;
-  JsonWriter json(out);
-  json.begin_array();
-  json.null();
-  json.end_array();
-  json.finish();
-  EXPECT_EQ(out.str(), "[\n  null\n]\n");
-}
-
 TEST(Json, ParserRoundTripsWriterOutput) {
   std::ostringstream out;
   JsonWriter json(out);
@@ -499,7 +481,7 @@ TEST(Json, ParserRoundTripsWriterOutput) {
   json.begin_array();
   json.value(true);
   json.value(false);
-  json.null();
+  json.value(std::nan(""));  // written as null
   json.end_array();
   json.end_object();
   json.finish();
